@@ -379,10 +379,13 @@ def run_trial(
     does not disable them), the trial fast-forwards from the nearest snapshot
     before its injection cycle instead of simulating the shared prefix; with
     triage on, a flip proven dead at injection time short-circuits straight
-    to Masked.  Both are bit-invisible: the returned TrialResult is identical
-    to a from-scratch run's.  ``stats``, when given, accumulates
-    ``restores`` / ``replay_cycles_saved`` / ``triaged_masked`` /
-    ``triaged_dead_memory`` counts.
+    to Masked, and a trial whose state equals a golden snapshot at a
+    boundary after its injection ends there as Masked (golden
+    reconvergence: from that point the run *is* the golden run).  All three
+    are bit-invisible: the returned TrialResult is identical to a
+    from-scratch run's.  ``stats``, when given, accumulates ``restores`` /
+    ``replay_cycles_saved`` / ``triaged_masked`` / ``triaged_dead_memory``
+    / ``reconverged`` counts.
 
     ``model`` names the :class:`~repro.sim.faults.FaultModel` to inject
     (always a concrete model — the campaign resolves ``chaos`` per plan).
@@ -411,6 +414,7 @@ def _drive_trial(
     interp: Interpreter,
     config: CampaignConfig,
     stats: Optional[Dict[str, int]],
+    reconverge: bool = True,
 ) -> TrialResult:
     """Run + classify one trial on a ready interpreter (the scalar driver).
 
@@ -418,6 +422,8 @@ def _drive_trial(
     backend, which hands in a :class:`~repro.sim.batched.BatchedSweep` whose
     final lane *is* this trial — the sweep's earlier lanes strike and roll
     back inside ``workload.run``, invisible to the classification here.
+    The batched backend passes ``reconverge=False``: its sweeps keep running
+    to the end.
     """
     limit = int(prepared.golden_instructions * config.timeout_factor) + 10_000
     with trace_mod.current().span(
@@ -425,7 +431,7 @@ def _drive_trial(
     ):
         try:
             return _classify_trial(
-                prepared, plan, interp, limit, config, stats
+                prepared, plan, interp, limit, config, stats, reconverge
             )
         except Exception as err:
             # Last-resort containment (the interpreter's own boundary
@@ -457,15 +463,22 @@ def _classify_trial(
     limit: int,
     config: CampaignConfig,
     stats: Optional[Dict[str, int]],
+    reconverge: bool = True,
 ) -> TrialResult:
     workload = prepared.workload
     restore = None
+    golden = None
     if (
         prepared.snapshots is not None
         and interp.fastpath
         and snapshot_mod.resolve_snapshot_every(config.snapshot_every) != 0
     ):
         restore = prepared.snapshots.nearest(plan.cycle)
+        # Golden reconvergence rides on the triage switch but not on the
+        # model gate below: equal state is the golden suffix for any model,
+        # and the interpreter itself waits out stuck-at and control faults.
+        if reconverge and snapshot_mod.resolve_triage(config.triage):
+            golden = prepared.snapshots
         if restore is not None and stats is not None:
             stats["restores"] = stats.get("restores", 0) + 1
             stats["replay_cycles_saved"] = (
@@ -492,6 +505,7 @@ def _classify_trial(
                 max_instructions=limit,
                 restore_from=restore,
                 triage=triage,
+                reconverge=golden,
             )
         finally:
             if tracer.enabled:
@@ -506,16 +520,13 @@ def _classify_trial(
                 else:
                     tracer.add_complete("replay", "trial", run_start, run_end)
     except snapshot_mod.TriageMasked as masked:
-        # The flip was proven dead at injection time: execution from here is
-        # identical to the golden run, which completed with identical
-        # outputs, so the full run would have classified this trial Masked
-        # with the exact same injection record.
+        # The flip was proven dead at injection time, or the run's state
+        # reconverged to a golden snapshot: execution from here is identical
+        # to the golden run, which completed with identical outputs, so the
+        # full run would have classified this trial Masked with the exact
+        # same injection record.
         if stats is not None:
-            key = (
-                "triaged_dead_memory"
-                if getattr(masked, "reason", "") == "dead_memory"
-                else "triaged_masked"
-            )
+            key = _TRIAGE_STATS.get(masked.reason, "triaged_masked")
             stats[key] = stats.get(key, 0) + 1
         return _base_trial(interp, plan)
     except GuardTrap as trap:
@@ -553,6 +564,13 @@ def _classify_trial(
             trial.outcome = Outcome.USDC
         return trial
 
+
+#: TriageMasked reason → campaign stats key
+_TRIAGE_STATS = {
+    "register": "triaged_masked",
+    "dead_memory": "triaged_dead_memory",
+    "reconverged": "reconverged",
+}
 
 #: trap class → event-log trap kind
 _TRAP_KINDS = {
@@ -623,7 +641,9 @@ def run_batch_trials(
     from ..sim import batched as batched_mod
 
     def classify(plan, sweep):
-        return _drive_trial(prepared, plan, sweep, config, stats)
+        return _drive_trial(
+            prepared, plan, sweep, config, stats, reconverge=False
+        )
 
     masked, peeled, continued, info = batched_mod.sweep_batch(
         prepared, items, config, classify
@@ -923,6 +943,7 @@ def _record_prefix_stats(
     registry.counter("campaign.triaged_dead_memory").inc(
         stats.get("triaged_dead_memory", 0)
     )
+    registry.counter("campaign.reconverged").inc(stats.get("reconverged", 0))
     if config.obs_log:
         obs_events.append_sidecar_event(
             config.obs_log,
@@ -933,6 +954,7 @@ def _record_prefix_stats(
                 replay_cycles_saved=stats.get("replay_cycles_saved", 0),
                 triaged_masked=stats.get("triaged_masked", 0),
                 triaged_dead_memory=stats.get("triaged_dead_memory", 0),
+                reconverged=stats.get("reconverged", 0),
             ),
         )
 
@@ -1103,7 +1125,7 @@ def run_campaign(
             ]
             stats = {
                 "restores": 0, "replay_cycles_saved": 0, "triaged_masked": 0,
-                "triaged_dead_memory": 0,
+                "triaged_dead_memory": 0, "reconverged": 0,
             }
             if config.jobs > 1 and len(pending) > 1:
                 _run_parallel_portion(

@@ -22,6 +22,7 @@ import time
 from typing import Optional, TextIO
 
 from ..obs.metrics import MetricsRegistry
+from ..obs.ratelimit import RateLimiter
 from .outcomes import Outcome, TrialResult
 
 __all__ = ["ProgressPrinter"]
@@ -52,7 +53,7 @@ class ProgressPrinter:
         self.total = total
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = min_interval
+        self._limit = RateLimiter(min_interval)
         # The printer always needs live counters, so a disabled (null)
         # registry is replaced by a private enabled one.
         if registry is None or not registry.enabled:
@@ -65,7 +66,6 @@ class ProgressPrinter:
         }
         self.done = 0
         self._start = time.perf_counter()
-        self._last_print = 0.0
         #: value of ``done`` at the last emitted line (-1: nothing emitted)
         self._emitted_done = -1
         #: rolling trials/sec (EMA over inter-emit windows; None until the
@@ -78,13 +78,7 @@ class ProgressPrinter:
         self.done += 1
         self._done.inc()
         self._outcomes[trial.outcome].inc()
-        now = time.perf_counter()
-        if (
-            now - self._last_print >= self.min_interval
-            or self.done == self.total
-        ):
-            self._last_print = now
-            self._emit(now)
+        self._maybe_emit()
 
     def batch(self, trials) -> None:
         """Account a burst of trials from one batched lane sweep at once.
@@ -102,12 +96,12 @@ class ProgressPrinter:
             self._outcomes[trial.outcome].inc()
         if not trials:
             return
+        self._maybe_emit()
+
+    def _maybe_emit(self) -> None:
         now = time.perf_counter()
-        if (
-            now - self._last_print >= self.min_interval
-            or self.done == self.total
-        ):
-            self._last_print = now
+        if self._limit.due(now) or self.done == self.total:
+            self._limit.mark(now)
             self._emit(now)
 
     def note(self, message: str) -> None:

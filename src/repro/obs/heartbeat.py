@@ -39,6 +39,8 @@ import tempfile
 import time
 from typing import Dict, Optional
 
+from .ratelimit import RateLimiter
+
 __all__ = [
     "HEARTBEAT_SCHEMA_VERSION",
     "HeartbeatWriter",
@@ -95,12 +97,11 @@ class HeartbeatWriter:
         self.workload = workload
         self.scheme = scheme
         self.total = total
-        self.min_interval = min_interval
         self.done = 0
         self.outcomes: Dict[str, int] = {}
         self.incidents = 0
         self._start = time.perf_counter()
-        self._last_write = 0.0
+        self._limit = RateLimiter(min_interval)
         self._last_rate_t = self._start
         self._last_rate_done = 0
         self._ema: Optional[float] = None
@@ -111,7 +112,7 @@ class HeartbeatWriter:
         self.done += 1
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
         now = time.perf_counter()
-        if now - self._last_write >= self.min_interval:
+        if self._limit.due(now):
             self.write(now=now)
 
     def trials(self, outcomes) -> None:
@@ -127,7 +128,7 @@ class HeartbeatWriter:
             self.done += 1
             self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
         now = time.perf_counter()
-        if now - self._last_write >= self.min_interval:
+        if self._limit.due(now):
             self.write(now=now)
 
     def incident(self, kind: str = "") -> None:
@@ -194,7 +195,7 @@ class HeartbeatWriter:
               now: Optional[float] = None) -> None:
         """Atomically replace the heartbeat file (best effort)."""
         now = time.perf_counter() if now is None else now
-        self._last_write = now
+        self._limit.mark(now)
         document = self.document(status=status, now=now)
         try:
             directory = os.path.dirname(os.path.abspath(self.path))

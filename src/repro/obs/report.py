@@ -224,7 +224,7 @@ class LogReport:
     def _prefix_totals(self) -> Dict[str, int]:
         totals = {
             "restores": 0, "replay_cycles_saved": 0, "triaged_masked": 0,
-            "triaged_dead_memory": 0,
+            "triaged_dead_memory": 0, "reconverged": 0,
         }
         for event in self.prefix_sharing:
             for key in totals:
@@ -400,11 +400,13 @@ class LogReport:
             if totals["triaged_dead_memory"]:
                 w(f"  triaged dead memory:  "
                   f"{totals['triaged_dead_memory']:10d}")
+            w(f"  reconverged:          {totals['reconverged']:10d}")
             for event in self.prefix_sharing:
                 w(f"  - {event.get('workload')}/{event.get('scheme')}: "
                   f"{event.get('restores', 0)} restores, "
                   f"{event.get('replay_cycles_saved', 0)} cycles saved, "
-                  f"{event.get('triaged_masked', 0)} triaged masked")
+                  f"{event.get('triaged_masked', 0)} triaged masked, "
+                  f"{event.get('reconverged', 0)} reconverged")
         if not self.trials:
             w("no trial events found")
             return "\n".join(lines)

@@ -413,12 +413,20 @@ class TraceSummary:
     track the self times telescope: they sum exactly to the root spans'
     durations, which is what makes "self-times sum to ~100% of campaign
     wall time" a checkable property.
+
+    Shares are taken of ``trace_wall_us``, first span start to last span
+    end.  A sweep runs ``prepare`` outside its campaign spans, so campaign
+    wall alone would leave preparation out of the denominator.
+    ``prepare_in_campaign_us`` is the part of ``prepare_us`` nested inside
+    campaign spans (a single campaign prepares inside its own span).
     """
 
     def __init__(self) -> None:
         self.phases: Dict[Tuple[str, str], Dict[str, float]] = {}
+        self.trace_wall_us = 0
         self.campaign_wall_us = 0
         self.prepare_us = 0
+        self.prepare_in_campaign_us = 0
         self.campaigns: List[Dict] = []
         self.instants: Dict[str, int] = {}
         self.pids: List[int] = []
@@ -473,6 +481,10 @@ def summarize_trace(document) -> TraceSummary:
         _assign_nesting(track)
 
     summary.pids = sorted({pid for pid, _ in tracks})
+    if completes:
+        summary.trace_wall_us = max(
+            e["ts"] + e.get("dur", 0) for e in completes
+        ) - min(e["ts"] for e in completes)
     for event in completes:
         key = (event.get("cat", "?"), event.get("name", "?"))
         stats = summary.phases.get(key)
@@ -512,6 +524,8 @@ def summarize_trace(document) -> TraceSummary:
                 summary.in_campaign_self_us += max(
                     0, dur - event.get("_child_us", 0)
                 )
+                if event.get("name") == "prepare":
+                    summary.prepare_in_campaign_us += dur
                 break
             node = node.get("_parent")
     return summary
@@ -531,7 +545,8 @@ def render_summary(summary: TraceSummary, top: int = 20) -> str:
     w = lines.append
     w("== trace phase report ==")
     w(f"processes: {len(summary.pids)}  campaign spans: "
-      f"{len(summary.campaigns)}  campaign wall: "
+      f"{len(summary.campaigns)}  trace wall: "
+      f"{_fmt_us(summary.trace_wall_us)}  campaign wall: "
       f"{_fmt_us(summary.campaign_wall_us)}")
     for c in summary.campaigns:
         w(f"  - {c.get('workload')}/{c.get('scheme')} "
@@ -539,12 +554,11 @@ def render_summary(summary: TraceSummary, top: int = 20) -> str:
           f"wall={_fmt_us(c.get('wall_us', 0))}")
 
     w("")
-    w("per-phase self time (sorted; self = duration minus direct children):")
+    w("per-phase self time (sorted; self = duration minus direct children; "
+      "% of trace wall):")
     w(f"  {'cat':12s} {'phase':18s} {'count':>7s} {'total':>10s} "
       f"{'self':>10s} {'self %':>7s}")
-    wall = summary.campaign_wall_us or sum(
-        s["self_us"] for s in summary.phases.values()
-    ) or 1
+    wall = summary.trace_wall_us or 1
     rows = summary.phase_rows()
     for cat, name, stats in rows[:top]:
         w(f"  {cat[:12]:12s} {name[:18]:18s} {stats['count']:7d} "
@@ -562,14 +576,19 @@ def render_summary(summary: TraceSummary, top: int = 20) -> str:
           f"({coverage:.1%} of campaign wall)")
 
     w("")
-    w("critical path:")
+    w("critical path (% of trace wall):")
     prepare = summary.prepare_us
-    injection = max(0, summary.campaign_wall_us - prepare)
-    if summary.campaign_wall_us:
-        w(f"  prepare (one-time):   {_fmt_us(prepare):>10s} "
-          f"({prepare / (summary.campaign_wall_us or 1):5.1%})")
-        w(f"  injection + overhead: {_fmt_us(injection):>10s} "
-          f"({injection / (summary.campaign_wall_us or 1):5.1%})")
+    injection = max(
+        0, summary.campaign_wall_us - summary.prepare_in_campaign_us
+    )
+    other = max(0, summary.trace_wall_us - prepare - injection)
+    if summary.trace_wall_us:
+        for label, us in (
+            ("preparation:", prepare),
+            ("injection + overhead:", injection),
+            ("outside campaigns:", other),
+        ):
+            w(f"  {label:21s} {_fmt_us(us):>10s} ({us / wall:5.1%})")
     replay = summary.phases.get(("trial", "replay"), {}).get("total_us", 0)
     detect = summary.phases.get(("trial", "detect"), {}).get("total_us", 0)
     if replay or detect:

@@ -56,6 +56,7 @@ from typing import Dict, List, Optional
 from ..faultinjection.resilience import jittered_backoff, quarantine_file
 from ..obs.heartbeat import pid_alive, read_heartbeat
 from ..obs.metrics import global_registry
+from ..obs.ratelimit import RateLimiter
 from .journal import (
     Journal,
     load_state_snapshot,
@@ -229,7 +230,7 @@ class Service:
         self.draining = False
         self._drain_requested = False
         self._appends_since_snapshot = 0
-        self._last_heartbeat = 0.0
+        self._heartbeat_limit = RateLimiter(self.config.heartbeat_interval)
         self._started_unix = time.time()
 
     # -- durability ---------------------------------------------------------
@@ -585,10 +586,9 @@ class Service:
     def write_heartbeat(self, status: str = "running",
                         force: bool = False) -> None:
         now = time.monotonic()
-        if not force and now - self._last_heartbeat < \
-                self.config.heartbeat_interval:
+        if not force and not self._heartbeat_limit.due(now):
             return
-        self._last_heartbeat = now
+        self._heartbeat_limit.mark(now)
         try:
             write_json_atomic(self.paths.heartbeat,
                               self.heartbeat_document(status))

@@ -90,6 +90,7 @@ __all__ = [
     "CompiledFunction",
     "CompiledModule",
     "compile_module",
+    "compile_variants",
     "module_token",
     "superblock_stats",
 ]
@@ -1068,6 +1069,19 @@ def compile_module(module: Module, track: bool, hooked: bool) -> CompiledModule:
     cache lives on the module object and is invalidated whenever the structure
     token changes — i.e. after any in-place transform.
     """
+    return compile_variants(module, (track, hooked))[0]
+
+
+def compile_variants(
+    module: Module, *variants: Tuple[bool, bool]
+) -> List[CompiledModule]:
+    """:func:`compile_module` for several ``(track, hooked)`` variants at once.
+
+    The structure token walks every instruction and operand of the module,
+    so a run that needs more than one variant (an injection trial needs the
+    tracked and the untracked one) builds it once and uses it for every
+    lookup.  Invalidation is the same as for one lookup at a time.
+    """
     if "Frame" not in _ENV:
         from .interpreter import Frame
 
@@ -1078,34 +1092,37 @@ def compile_module(module: Module, track: bool, hooked: bool) -> CompiledModule:
     if cache is None or cache.get("token") != token:
         cache = {"token": token}
         module._compiled_cache = cache
-    variant = (track, hooked)
-    cm = cache.get(variant)
     registry = _obs_registry()
-    if cm is None:
-        from ..obs import trace as _trace_mod
+    out: List[CompiledModule] = []
+    for variant in variants:
+        track, hooked = variant
+        cm = cache.get(variant)
+        if cm is None:
+            from ..obs import trace as _trace_mod
 
-        with _trace_mod.current().span(
-            "compile_module", cat="compile", track=track, hooked=hooked
-        ):
-            cm = CompiledModule(module, variant, token, pinned)
-            for fn in module.functions.values():
-                cm.functions[fn] = CompiledFunction(fn)
-            n_blocks = n_superblocks = 0
-            for cf in cm.functions.values():
-                for cb in cf.blocks.values():
-                    _fill_block(cb, cf, cm, track, hooked)
-                    n_blocks += 1
-                    n_superblocks += sum(
-                        1 for sb in cb.fused if sb is not None
-                    )
-            cache[variant] = cm
-        if registry.enabled:
-            registry.counter("sim.compile.modules").inc()
-            registry.counter("sim.compile.blocks").inc(n_blocks)
-            registry.counter("sim.compile.superblocks").inc(n_superblocks)
-    elif registry.enabled:
-        registry.counter("sim.compile.cache_hits").inc()
-    return cm
+            with _trace_mod.current().span(
+                "compile_module", cat="compile", track=track, hooked=hooked
+            ):
+                cm = CompiledModule(module, variant, token, pinned)
+                for fn in module.functions.values():
+                    cm.functions[fn] = CompiledFunction(fn)
+                n_blocks = n_superblocks = 0
+                for cf in cm.functions.values():
+                    for cb in cf.blocks.values():
+                        _fill_block(cb, cf, cm, track, hooked)
+                        n_blocks += 1
+                        n_superblocks += sum(
+                            1 for sb in cb.fused if sb is not None
+                        )
+                cache[variant] = cm
+            if registry.enabled:
+                registry.counter("sim.compile.modules").inc()
+                registry.counter("sim.compile.blocks").inc(n_blocks)
+                registry.counter("sim.compile.superblocks").inc(n_superblocks)
+        elif registry.enabled:
+            registry.counter("sim.compile.cache_hits").inc()
+        out.append(cm)
+    return out
 
 
 def superblock_stats(cm: CompiledModule) -> Tuple[int, int]:

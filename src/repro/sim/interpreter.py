@@ -57,7 +57,7 @@ from ..ir.types import F32, FloatType, IntType, PointerType
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from ..obs.metrics import global_registry as _obs_registry
 from . import ops
-from .compiled import STOP, UNWIND, CompiledBlock, compile_module
+from .compiled import STOP, UNWIND, CompiledBlock, compile_variants
 from .config import SimConfig
 from .events import (
     ArithmeticTrap,
@@ -73,11 +73,19 @@ from .events import (
 from .faults import InjectionPlan, InjectionRecord, flip_bit, get_fault_model
 from .memory import Memory, Segment
 from .regfile import RegisterFile
-from .snapshot import Snapshot, SnapshotRecorder, TriageMasked, value_dead_after
+from .snapshot import (
+    Snapshot,
+    SnapshotRecorder,
+    SnapshotStore,
+    TriageMasked,
+    value_dead_after,
+)
 from .timing import TimingModel
 
 _MISSING = object()
 _F32_STRUCT = struct.Struct("<f")
+#: loop-top due cycle that never arrives
+_NEVER = 1 << 62
 
 # Backwards-compatible aliases: the evaluator tables moved to
 # :mod:`repro.sim.ops` so the fast path (:mod:`repro.sim.compiled`) can share
@@ -220,6 +228,10 @@ class Interpreter:
         self._rf_base = 0
         #: short-circuit provably-dead flips to TriageMasked (trial runs only)
         self._triage = False
+        #: golden snapshots an injection run compares itself against for the
+        #: reconvergence exit, and the index of the next one due
+        self._golden_snaps: Sequence[Snapshot] = ()
+        self._golden_pos = 0
         self._resume_cb = None
         self._resume_idx = 0
         self._ret_value: object = None
@@ -377,6 +389,7 @@ class Interpreter:
         restore_from: Optional[Snapshot] = None,
         capture: Optional[SnapshotRecorder] = None,
         triage: bool = False,
+        reconverge: Optional[SnapshotStore] = None,
     ) -> RunResult:
         """Execute ``entry`` to completion.
 
@@ -395,7 +408,13 @@ class Interpreter:
         :class:`~repro.sim.snapshot.Snapshot` (bit-identical by
         construction); ``capture`` records snapshots during a fault-free run;
         ``triage`` short-circuits provably-dead flips by raising
-        :class:`~repro.sim.snapshot.TriageMasked`.  All three are fast-path
+        :class:`~repro.sim.snapshot.TriageMasked`; ``reconverge`` (the golden
+        run's :class:`~repro.sim.snapshot.SnapshotStore`) ends an injection
+        run as ``TriageMasked("reconverged")`` at the first snapshot boundary
+        where its state equals the golden state (sound when, as in campaign
+        trials, the golden run's failing guards are in ``disabled_guards``
+        and ``max_instructions`` covers the golden run, so the golden suffix
+        cannot trap).  All four are fast-path
         features: on the reference loop (or with a value hook, whose
         callbacks would be skipped over the restored prefix) they are
         silently ignored, preserving from-scratch semantics.
@@ -409,11 +428,17 @@ class Interpreter:
         if not use_fast or self.value_hook is not None:
             restore_from = None
             capture = None
+            reconverge = None
         if restore_from is not None and (
             injection is None or restore_from.cycle >= injection.cycle
         ):
             restore_from = None
         self._triage = bool(triage) and injection is not None
+        self._golden_snaps = ()
+        self._golden_pos = 0
+        if reconverge is not None and injection is not None:
+            self._golden_snaps = reconverge.snapshots
+            self._golden_pos = reconverge.first_from(injection.cycle)
         registry = _obs_registry()
         if not registry.enabled:
             return self._dispatch_contained(
@@ -860,22 +885,27 @@ class Interpreter:
         cycle, so this is harmless).  ``restore`` replaces the from-scratch
         prologue with a deep-copied snapshot of the golden run, resuming at
         its recorded compiled block; tracked variants are compiled either
-        way, so snapshot block references stay valid here.
+        way, so snapshot block references stay valid here.  An injection run
+        given golden snapshots (see :meth:`run`'s ``reconverge``) reuses the
+        same loop-top due check to compare its state with each snapshot
+        after the injection cycle (:meth:`_check_reconverged`).
         """
         track = injection is not None or capture is not None
         hooked = self.value_hook is not None
-        cm = compile_module(self.module, track, hooked)
-        self._cm = cm
         # Injection *commits* at most once; everything the tracked variant
         # records after that instant is dead bookkeeping, so the loop swaps in
         # the untracked variant the moment the fault lands (for a batched lane
         # sweep: the moment the final lane's fault lands — the rolled-back
         # strikes before it leave ``injection_record`` unset and keep tracking
         # alive for the next lane's register-file materialization).
-        self._untracked_cm = (
-            compile_module(self.module, False, hooked)
-            if injection is not None else None
-        )
+        if injection is not None:
+            cm, self._untracked_cm = compile_variants(
+                self.module, (track, hooked), (False, hooked)
+            )
+        else:
+            (cm,) = compile_variants(self.module, (track, hooked))
+            self._untracked_cm = None
+        self._cm = cm
         self._rf_log = []
         self._rf_base = 0
         self._max_depth = self.config.max_call_depth
@@ -911,12 +941,20 @@ class Interpreter:
         code = cb.code
         fused = cb.fused
         vals = frame.values
-        snap_due = capture.next_due if capture is not None else (1 << 62)
+        if capture is not None:
+            snap_due = capture.next_due
+        else:
+            snap_due = self._next_golden_due()
 
         try:
             while True:
                 if snap_due <= cycle:
-                    snap_due = capture.take(self, cb, idx, cycle)
+                    if capture is not None:
+                        snap_due = capture.take(self, cb, idx, cycle)
+                    else:
+                        snap_due = self._check_reconverged(
+                            cb, idx, cycle, inject_cycle
+                        )
                 sb = fused[idx]
                 if sb is not None and cycle + sb[1] <= max_instructions and (
                     inject_cycle < 0 or cycle + sb[1] < inject_cycle
@@ -1013,6 +1051,47 @@ class Interpreter:
             injection=self.injection_record,
             cycles=None,
         )
+
+    # -- golden reconvergence ------------------------------------------------------------
+
+    def _next_golden_due(self) -> int:
+        snaps = self._golden_snaps
+        pos = self._golden_pos
+        return snaps[pos].cycle if pos < len(snaps) else _NEVER
+
+    def _check_reconverged(self, cb, idx: int, cycle: int,
+                           inject_cycle: int) -> int:
+        """Loop-top reconvergence check; returns the next due cycle.
+
+        Compares only when the loop top sits exactly on the due snapshot's
+        cycle; snapshots the loop has already passed are skipped (skipping
+        is always sound — it only loses the early exit).  The exit needs the
+        fault fully landed: an injection record, no stuck-at refire pending
+        (``inject_cycle < 0``), no armed control fault and no live stuck
+        binding.  Then equal state at the same cycle and resume point means
+        the rest of the run is the golden suffix — it finishes within any
+        trial's budget, fails only the golden run's noisy guards (disabled
+        in trials) and writes the golden outputs — so the full run would
+        classify the trial Masked with this same injection record.
+        """
+        snaps = self._golden_snaps
+        pos = self._golden_pos
+        n = len(snaps)
+        while pos < n and snaps[pos].cycle < cycle:
+            pos += 1
+        if pos < n and snaps[pos].cycle == cycle:
+            if (
+                inject_cycle < 0
+                and self.injection_record is not None
+                and not self._pending_control_fault
+                and self._stuck_fault is None
+                and self._stuck_mem_fault is None
+                and snaps[pos].matches(self, cb, idx)
+            ):
+                raise TriageMasked("reconverged")
+            pos += 1
+        self._golden_pos = pos
+        return self._next_golden_due()
 
     # -- helpers ---------------------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Every injection trial re-simulates the workload from cycle 0, yet everything
 before the injection cycle is fault-free and identical to the golden run.
-This module removes that redundancy in two stages:
+This module removes that redundancy in three stages:
 
 * **Snapshots.**  One instrumented golden run (``prepare`` drives it) captures
   periodic deep copies of the full interpreter state — memory segments, call
@@ -22,18 +22,31 @@ This module removes that redundancy in two stages:
   provably-dead flip leaves execution identical to the golden run (which
   completed, trap-free, within any trial's instruction budget).
 
+* **Golden reconvergence.**  The dynamic counterpart of triage: a live flip
+  that is later overwritten leaves a run whose state is the golden run's
+  again.  At each stored snapshot boundary after the injection cycle the
+  trial compares its state with the stored :class:`Snapshot`
+  (:meth:`Snapshot.matches`: resume point, frames, bit-exact frame values,
+  stack pointer, memory).  Once the fault has fully landed — no stuck-at
+  refire, pending control fault or live stuck binding — equal state means
+  the rest of the trial is the golden suffix, so the trial ends as Masked
+  via ``TriageMasked("reconverged")``.  Nothing is stored for it beyond the
+  snapshots themselves.
+
 Configuration mirrors the fast path's escape hatches:
 
 * ``REPRO_SNAPSHOT=0`` / ``CampaignConfig.snapshot_every=0`` disables
-  snapshotting entirely;
+  snapshotting (and with it reconvergence) entirely;
 * ``REPRO_SNAPSHOT_EVERY=N`` / ``--snapshot-every N`` sets an explicit
   cadence; the default (:data:`AUTO`) derives one from the golden length;
-* ``REPRO_TRIAGE=0`` / ``CampaignConfig.triage=False`` disables triage.
+* ``REPRO_TRIAGE=0`` / ``CampaignConfig.triage=False`` disables triage and
+  reconvergence.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import os
 import random
 from typing import Dict, List, Optional, Tuple
@@ -81,7 +94,8 @@ class TriageMasked(Exception):
     re-time and classify traps, while this is a verdict, not an event — it
     must propagate straight to the campaign layer.  ``reason`` tells the
     campaign which triage path fired: ``"register"`` for dead-flip register
-    triage, ``"dead_memory"`` for occupancy-map dead-region hits.
+    triage, ``"dead_memory"`` for occupancy-map dead-region hits,
+    ``"reconverged"`` for a trial whose state equalled a golden snapshot.
     """
 
     def __init__(self, reason: str = "register") -> None:
@@ -413,6 +427,78 @@ class Snapshot:
         interp._sbk = 0
         return self.cb, self.idx, self.cycle
 
+    def matches(self, interp, cb, idx: int) -> bool:
+        """Is ``interp``'s loop-top state at ``(cb, idx)`` this snapshot's?
+
+        Called at the snapshot's own cycle.  Cheap fields come first so most
+        mismatches return early.  Blocks are compared rather than compiled
+        blocks: the snapshot holds the tracked variant, a trial past its
+        injection runs the untracked one.  Frame values must be bit-exact
+        (:func:`_same_values`).  The register-file log, guard counters and
+        lazily synced frame indices are left out: after injection nothing
+        reads them except a fault refire, which the caller rules out.
+        Memory layout is fixed at set-up (no fault maps or unmaps a
+        segment), so equal ``_next_index`` plus every snapshot segment found
+        at its base with equal bytes means equal memory.
+        """
+        if idx != self.idx or cb.block is not self.cb.block:
+            return False
+        frames = interp._frames
+        templates = self.frames
+        if len(frames) != len(templates):
+            return False
+        for frame, t in zip(frames, templates):
+            if (
+                frame.function is not t.function
+                or frame.block is not t.block
+                or frame.call_instr is not t.call_instr
+                or frame.stack_mark != t.stack_mark
+                or frame.ret_idx != t.ret_idx
+                or frame.ret_key != t.ret_key
+                or frame.ret_has_result != t.ret_has_result
+                or getattr(frame.ret_cb, "block", None)
+                is not getattr(t.ret_cb, "block", None)
+            ):
+                return False
+        if interp._stack_sp != self.stack_sp or \
+                interp._stack_limit != self.stack_limit:
+            return False
+        for frame, values in zip(frames, self.frame_values):
+            if not _same_values(frame.values, values):
+                return False
+        memory = interp.memory
+        if memory._next_index != self.next_index or \
+                interp._global_addr != self.global_addr:
+            return False
+        live = memory._segments
+        for seg in self.segments:
+            other = live.get(seg.base >> SEGMENT_SHIFT)
+            if other is None or other.base != seg.base or \
+                    other.data != seg.data:
+                return False
+        return True
+
+
+def _same_values(live: Dict, golden: Dict) -> bool:
+    """Bit-exact equality of two frame value maps.
+
+    Dict ``==`` already requires the same keys and ``==`` values, but
+    ``1 == 1.0`` and ``-0.0 == 0.0`` — so types must match too, and a float
+    zero must match in sign.  Equal non-zero floats have equal bit patterns;
+    a NaN only compares equal to itself (the identical object), which at
+    worst misses an exit.
+    """
+    if live != golden:
+        return False
+    for key, value in live.items():
+        ref = golden[key]
+        if value.__class__ is not ref.__class__:
+            return False
+        if value.__class__ is float and value == 0.0 and \
+                math.copysign(1.0, value) != math.copysign(1.0, ref):
+            return False
+    return True
+
 
 class SnapshotStore:
     """Snapshots of one golden run, ordered by cycle."""
@@ -439,6 +525,10 @@ class SnapshotStore:
         if pos == 0:
             return None
         return self.snapshots[pos - 1]
+
+    def first_from(self, cycle: int) -> int:
+        """Index of the first snapshot taken at or after ``cycle``."""
+        return bisect.bisect_left(self._cycles, cycle)
 
 
 class SnapshotRecorder:

@@ -93,3 +93,26 @@ def test_obs_event_logs_match_reference_byte_exact(tmp_path, monkeypatch):
     assert logs["1"] == logs["0"]
     # and the log is not trivially empty: it carries real trial records
     assert logs["0"].count(b'"event":"trial"') == config.trials
+
+
+def test_compile_variants_share_one_token_and_follow_ir_mutation():
+    """An injection run looks up the tracked and untracked variants from one
+    structure-token walk; an in-place IR change still invalidates both."""
+    from repro.ir import I32
+    from repro.ir.values import Constant
+    from repro.sim.compiled import compile_module, compile_variants
+    from tests.conftest import build_sum_loop
+
+    module, h = build_sum_loop()
+    tracked, untracked = compile_variants(
+        module, (True, False), (False, False)
+    )
+    assert tracked is not untracked
+    assert tracked.token == untracked.token
+    assert compile_module(module, False, False) is untracked
+
+    scaled = h["body"].instructions[2]  # acc * mul_factor
+    scaled.set_operand(1, Constant(I32, 5))
+    rebuilt = compile_module(module, False, False)
+    assert rebuilt is not untracked
+    assert rebuilt.token != untracked.token

@@ -15,6 +15,7 @@ import gzip
 import io
 import json
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -202,6 +203,52 @@ def test_trace_schema_roundtrip_and_self_time(tmp_path, prepared_g721):
     assert "trace phase report" in rendered
     assert "per-phase self time" in rendered
     assert "critical path" in rendered
+
+
+def _percentages(rendered: str, start: str, end: str):
+    """Trailing ``NN.N%`` columns of the rendered lines between two
+    section headings."""
+    lines = rendered.split("\n")
+    first = next(i for i, line in enumerate(lines) if line.startswith(start))
+    out = []
+    for line in lines[first + 1:]:
+        if not line.strip() or line.startswith(end):
+            break
+        match = re.search(r"(\d+\.\d)%\)?$", line.rstrip())
+        if match:
+            out.append(float(match.group(1)))
+    return out
+
+
+def test_two_campaign_trace_shares_add_up(tmp_path):
+    """A sweep-shaped trace — each campaign prepared outside its campaign
+    span, both in one trace — gets shares of the trace's wall time: the
+    per-phase self times and the critical-path rows each add up to at most
+    100%, with preparation a row of its own."""
+    path = str(tmp_path / "sweep.json")
+    trace_mod.activate(path)
+    for name in ("tiff2bw", "g721dec"):
+        workload = get_workload(name)
+        cfg = replace(_base_config(), trials=3, trace=path)
+        prepared = prepare(workload, "dup_valchk", cfg)
+        run_campaign(workload, "dup_valchk", cfg, prepared=prepared)
+
+    summary = summarize_trace(load_trace(path))
+    assert len(summary.campaigns) == 2
+    assert summary.prepare_us > 0
+    assert summary.prepare_in_campaign_us == 0  # prepared outside campaigns
+    assert summary.trace_wall_us >= summary.campaign_wall_us + \
+        summary.prepare_us
+
+    rendered = render_summary(summary, top=1000)
+    phases = _percentages(rendered, "per-phase self time", "accounted")
+    assert len(phases) == len(summary.phases)
+    assert sum(phases) <= 100.0 + 0.05 * len(phases)  # display rounding
+    path_rows = _percentages(rendered, "critical path", "  replay vs")
+    assert len(path_rows) == 3
+    assert all(0.0 <= share <= 100.0 for share in path_rows)
+    assert abs(sum(path_rows) - 100.0) <= 0.2
+    assert "preparation:" in rendered
 
 
 def test_validate_trace_flags_problems():
