@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Campaign-throughput benchmark: reference vs fast path vs snapshots.
 
-Measures trials/sec for one (workload, scheme) campaign in five modes and
+Measures trials/sec for one (workload, scheme) campaign in four modes and
 writes ``BENCH_campaign.json`` (at the repo root by default) so the perf
 trajectory is tracked from PR to PR:
 
@@ -12,14 +12,7 @@ trajectory is tracked from PR to PR:
 * ``snapshot_fastpath`` — fast path + golden-run snapshots: each trial
   fast-forwards to the nearest snapshot before its injection cycle;
 * ``triage`` — snapshots + dead-flip triage: provably-dead flips
-  short-circuit to Masked without a post-injection run;
-* ``parallel_fastpath`` — fast path (snapshots off, for continuity with
-  earlier PRs) fanned out over ``--jobs`` workers;
-* ``batched`` — lane-parallel sweeps over the triage fastpath, measured as
-  a separate paired comparison (same plans, scalar-triage vs batched) on a
-  memory-hierarchy campaign sized to the backend's payoff regime: many
-  lanes per snapshot window, where masked-at-strike verdicts amortise the
-  shared window replay.
+  short-circuit to Masked without a post-injection run.
 
 All modes share one prepared workload and the same pre-drawn trial plans, so
 they do identical logical work and must produce bit-identical results — the
@@ -27,7 +20,10 @@ harness asserts every mode's outcome tallies match, which doubles as the
 differential verification of the snapshot/triage engine (recorded in the
 report's ``differential`` section; CI asserts it).  Throughput excludes
 preparation (module build + protection + golden + capture runs), a one-time
-cost amortised over a campaign.
+cost amortised over a campaign.  ``--obs-log`` adds an untimed pass over
+``--jobs`` workers with the default snapshot and triage settings, which
+writes the JSONL trial event log through the parallel shard merge and
+asserts its tallies match the timed outcomes.
 
 Usage::
 
@@ -70,13 +66,16 @@ def main(argv=None) -> int:
     parser.add_argument("--scheme", default="dup_valchk")
     parser.add_argument("--trials", type=int, default=60)
     parser.add_argument("--seed", type=int, default=2014)
-    parser.add_argument("--jobs", type=int, default=4)
+    parser.add_argument("--jobs", type=int, default=4,
+                        help="worker processes for the untimed --obs-log "
+                             "pass (the timed modes run serially)")
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_campaign.json"),
                         help="output JSON path, or '-' for stdout")
     parser.add_argument("--obs-log", metavar="PATH", default=None,
                         help="after the timed runs, replay the campaign once "
-                             "(untimed) with the JSONL trial event log enabled "
-                             "and assert its tallies match the timed results")
+                             "(untimed, on --jobs workers) with the JSONL "
+                             "trial event log enabled and assert its tallies "
+                             "match the timed results")
     args = parser.parse_args(argv)
 
     workload = get_workload(args.workload)
@@ -90,8 +89,6 @@ def main(argv=None) -> int:
                               snapshot_every=-1, triage=False)
     triage = CampaignConfig(trials=args.trials, seed=args.seed,
                             snapshot_every=-1, triage=True)
-    parallel = CampaignConfig(trials=args.trials, seed=args.seed,
-                              jobs=args.jobs, snapshot_every=0, triage=False)
 
     os.environ["REPRO_FASTPATH"] = "1"
     # One-time preparation cost per mode: a plain prepare (module build +
@@ -153,9 +150,6 @@ def main(argv=None) -> int:
     tri_counts, tri_s = _measure(workload, args.scheme, prepared, triage, True)
     print(f"[bench] snapshot + triage: {args.trials / tri_s:7.1f} trials/s",
           file=sys.stderr)
-    par_counts, par_s = _measure(workload, args.scheme, prepared, parallel, True)
-    print(f"[bench] parallel x{args.jobs:<2d}     : {args.trials / par_s:7.1f} "
-          f"trials/s", file=sys.stderr)
 
     # Trace overhead: rerun the serial fast path with span tracing on.  The
     # house invariant says tracing must not change results (asserted below)
@@ -176,70 +170,11 @@ def main(argv=None) -> int:
           f"({trace_overhead_pct:+.1f}% vs untraced)", file=sys.stderr)
     os.environ.pop("REPRO_FASTPATH", None)
 
-    # Batched lane sweeps vs the scalar triage fastpath.  Batching pays off
-    # in proportion to the time share of trials whose verdict is decided at
-    # the injection instant, so the paired comparison runs the fault model
-    # with the highest strike-time triage rate (stack_frame, occupancy-map
-    # dead-region proofs) and enough trials that each snapshot window
-    # carries several lanes.  Both sides execute identical plans and are
-    # timed best-of-3; outcome tallies must match exactly (the batched
-    # backend is differentially pinned byte-identical to the scalar path).
-    n_snapshots = len(prepared.snapshots) if prepared.snapshots else 1
-    bat_trials = max(args.trials, 8 * n_snapshots)
-    stack_scalar = CampaignConfig(trials=bat_trials, seed=args.seed,
-                                  snapshot_every=-1, triage=True,
-                                  fault_model="stack_frame")
-    stack_batched = _replace(stack_scalar, batch=bat_trials)
-    prepared_stack = prepare(workload, args.scheme, stack_scalar)
-    stri_best = bat_best = float("inf")
-    stri_counts = bat_counts = None
-    for _ in range(3):
-        stri_counts, seconds = _measure(
-            workload, args.scheme, prepared_stack, stack_scalar, True
-        )
-        stri_best = min(stri_best, seconds)
-        bat_counts, seconds = _measure(
-            workload, args.scheme, prepared_stack, stack_batched, True
-        )
-        bat_best = min(bat_best, seconds)
-    batched_speedup = stri_best / bat_best
-    if bat_counts != stri_counts:
-        print(f"[bench] ERROR: batched tallies diverge from scalar triage "
-              f"(batched={bat_counts} scalar={stri_counts})", file=sys.stderr)
-        return 1
-    # Untimed instrumented pass for the lane accounting: the `batched`
-    # sidecar event carries lanes/masked/divergence totals (sidecar-only so
-    # the main log stays byte-identical to a scalar run's).
-    from repro.obs.events import read_events as _read_events
-    from repro.obs.events import resilience_log_path as _sidecar_path
-
-    with tempfile.TemporaryDirectory() as obs_dir:
-        batched_log = os.path.join(obs_dir, "batched.jsonl")
-        os.environ["REPRO_FASTPATH"] = "1"
-        run_campaign(workload, args.scheme,
-                     _replace(stack_batched, obs_log=batched_log),
-                     prepared=prepared_stack)
-        os.environ.pop("REPRO_FASTPATH", None)
-        sidecar_events, _ = _read_events(_sidecar_path(batched_log))
-        batched_ev = next(
-            e for e in sidecar_events if e.get("event") == "batched"
-        )
-    lane_occupancy = batched_ev["lanes"] / max(1, batched_ev["batches"])
-    divergence_rate = batched_ev["diverged"] / max(1, batched_ev["lanes"])
-    print(f"[bench] batched lanes    : {bat_trials / bat_best:7.1f} trials/s "
-          f"(stack_frame, {bat_trials} trials, batch={bat_trials}; "
-          f"{batched_speedup:.2f}x vs scalar triage "
-          f"{bat_trials / stri_best:.1f} trials/s)", file=sys.stderr)
-    print(f"[bench] batched stats    : {lane_occupancy:.1f} lanes/burst mean "
-          f"occupancy, {100.0 * divergence_rate:.1f}% divergence "
-          f"({batched_ev['masked']} masked in-sweep, "
-          f"{batched_ev['diverged']} diverged)", file=sys.stderr)
-
     if not (ref_counts == fast_counts == snap_counts == tri_counts
-            == par_counts == traced_counts):
+            == traced_counts):
         print("[bench] ERROR: modes disagree on outcomes "
               f"(ref={ref_counts} fast={fast_counts} snap={snap_counts} "
-              f"triage={tri_counts} par={par_counts} traced={traced_counts})",
+              f"triage={tri_counts} traced={traced_counts})",
               file=sys.stderr)
         return 1
     print("[bench] differential ok  : snapshot, triage, and traced tallies "
@@ -247,20 +182,20 @@ def main(argv=None) -> int:
 
     obs_verified = None
     if args.obs_log:
-        # Extra untimed pass with the trial event log enabled: the timed
-        # numbers above stay obs-free, and the log must tally exactly to the
-        # timed outcomes.
-        from dataclasses import replace
-
+        # Extra untimed pass with the trial event log enabled, fanned out
+        # over --jobs workers with default snapshots and triage so the
+        # parallel shard merge is exercised: the timed numbers above stay
+        # obs-free, and the log must tally exactly to the timed outcomes.
         from repro.obs.events import read_events
 
         log_path = Path(args.obs_log)
         if log_path.exists():
             log_path.unlink()  # logs append; the bench wants a fresh one
         os.environ["REPRO_FASTPATH"] = "1"
+        obs_config = CampaignConfig(trials=args.trials, seed=args.seed,
+                                    jobs=args.jobs, obs_log=str(log_path))
         obs_result = run_campaign(
-            workload, args.scheme,
-            replace(parallel, obs_log=str(log_path)), prepared=prepared,
+            workload, args.scheme, obs_config, prepared=prepared,
         )
         os.environ.pop("REPRO_FASTPATH", None)
         events, skipped = read_events(log_path)
@@ -276,6 +211,7 @@ def main(argv=None) -> int:
             return 1
         obs_verified = {
             "log": str(log_path),
+            "jobs": args.jobs,
             "trial_events": sum(logged.values()),
             "tallies_match": True,
         }
@@ -319,34 +255,11 @@ def main(argv=None) -> int:
             "trials_per_sec": round(args.trials / tri_s, 2),
             "seconds": round(tri_s, 3),
         },
-        "parallel_fastpath": {
-            "jobs": args.jobs,
-            "trials_per_sec": round(args.trials / par_s, 2),
-            "seconds": round(par_s, 3),
-        },
-        "batched": {
-            "fault_model": "stack_frame",
-            "trials": bat_trials,
-            "batch": bat_trials,
-            "trials_per_sec": round(bat_trials / bat_best, 2),
-            "seconds": round(bat_best, 3),
-            "scalar_triage_trials_per_sec": round(bat_trials / stri_best, 2),
-            "scalar_triage_seconds": round(stri_best, 3),
-            "mean_lane_occupancy": round(lane_occupancy, 1),
-            "divergence_rate": round(divergence_rate, 4),
-            "lanes": batched_ev["lanes"],
-            "masked_in_sweep": batched_ev["masked"],
-            "diverged": batched_ev["diverged"],
-            "divergence": batched_ev["divergence"],
-        },
         "speedups": {
             "fastpath_serial_vs_reference": round(ref_s / fast_s, 2),
             "snapshot_vs_fastpath_serial": round(fast_s / snap_s, 2),
             "triage_vs_fastpath_serial": round(fast_s / tri_s, 2),
             "triage_vs_reference": round(ref_s / tri_s, 2),
-            "parallel_vs_reference": round(ref_s / par_s, 2),
-            "parallel_vs_fastpath_serial": round(fast_s / par_s, 2),
-            "batched_vs_triage": round(batched_speedup, 2),
         },
         "trace_overhead": {
             "trials_per_sec": round(args.trials / traced_s, 2),
@@ -357,25 +270,17 @@ def main(argv=None) -> int:
             "snapshot_vs_fastpath_tallies_match": snap_counts == fast_counts,
             "triage_vs_fastpath_tallies_match": tri_counts == fast_counts,
             "trace_vs_fastpath_tallies_match": traced_counts == fast_counts,
-            "batched_vs_triage_tallies_match": bat_counts == stri_counts,
         },
         "notes": (
-            "Throughput excludes one-time preparation. On a single-core "
-            "runner parallel_fastpath cannot exceed serial_fastpath; the "
-            "fast-path speedup is process-count independent. snapshot/triage "
-            "modes restore golden-run snapshots and must tally identically "
-            "to the from-scratch fast path (see 'differential'). Timed runs "
-            "keep observability disabled; --obs-log adds a separate "
-            "untimed verification pass. occupancy_overhead is the best-of-3 "
-            "delta between a mem_transient prepare (occupancy capture fused "
-            "into the snapshot run) and a single_bit prepare; the harness "
-            "fails if it reaches 10% of the memory-model prepare. The "
-            "batched section is a separate best-of-3 paired comparison "
-            "(identical plans, scalar triage vs batched lanes) on a "
-            "stack_frame campaign sized to several lanes per snapshot "
-            "window — the regime batching targets; on the single_bit "
-            "headline campaign, live trials' post-injection execution "
-            "dominates and batching is roughly cost-neutral."
+            "Throughput excludes one-time preparation; every timed mode "
+            "runs in one process. snapshot/triage modes restore golden-run "
+            "snapshots and must tally identically to the from-scratch fast "
+            "path (see 'differential'). Timed runs keep observability "
+            "disabled; --obs-log adds a separate untimed verification pass "
+            "on --jobs workers. occupancy_overhead is the best-of-3 delta "
+            "between a mem_transient prepare (occupancy capture fused into "
+            "the snapshot run) and a single_bit prepare; the harness fails "
+            "if it reaches 10% of the memory-model prepare."
         ),
     }
     if obs_verified is not None:

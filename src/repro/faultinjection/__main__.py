@@ -103,12 +103,6 @@ def main(argv=None) -> int:
                              "-1 picks automatically from the golden length "
                              "(default: REPRO_SNAPSHOT_EVERY or auto; "
                              "results are bit-identical for any value)")
-    parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="run trials in batched lane-parallel sweeps of "
-                             "N lanes over the golden run, peeling diverging "
-                             "lanes to the scalar fastpath; 0/1 disables "
-                             "(default: REPRO_BATCH or off; requires triage; "
-                             "results are bit-identical for any value)")
     parser.add_argument("--fault-model", default=None,
                         choices=list(CONCRETE_FAULT_MODELS) + [CHAOS_FAULT_MODEL],
                         help="fault model to inject (default: "
@@ -150,7 +144,7 @@ def main(argv=None) -> int:
         checkpoint=checkpoint, resilience=policy,
         snapshot_every=args.snapshot_every,
         fault_model=args.fault_model or (CHAOS_FAULT_MODEL if args.chaos else None),
-        trace=args.trace, heartbeat=args.heartbeat, batch=args.batch,
+        trace=args.trace, heartbeat=args.heartbeat,
     )
     if config.obs_log:
         enable_global()

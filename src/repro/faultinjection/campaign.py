@@ -128,13 +128,6 @@ class CampaignConfig:
     #: supplies a default).  Watch it with ``python -m repro.obs top``.
     #: Excluded from cache keys for the same reason as ``trace``.
     heartbeat: Optional[str] = None
-    #: batched lane-parallel trial execution (:mod:`repro.sim.batched`):
-    #: lanes per sweep.  None = resolve from ``REPRO_BATCH``; 0/1 = off
-    #: (scalar fastpath).  Requires triage on — with triage off the backend
-    #: silently falls back to scalar.  Excluded from cache keys: batched
-    #: results are byte-identical to scalar for any batch size (differential
-    #: tests enforce it).
-    batch: Optional[int] = None
 
 
 @dataclass
@@ -405,33 +398,13 @@ def run_trial(
     # Memory-hierarchy models draw their targets from the golden-run
     # occupancy map when one was captured (None degrades to probing).
     interp._occupancy = prepared.occupancy
-    return _drive_trial(prepared, plan, interp, config, stats)
-
-
-def _drive_trial(
-    prepared: PreparedWorkload,
-    plan: InjectionPlan,
-    interp: Interpreter,
-    config: CampaignConfig,
-    stats: Optional[Dict[str, int]],
-    reconverge: bool = True,
-) -> TrialResult:
-    """Run + classify one trial on a ready interpreter (the scalar driver).
-
-    Shared by :func:`run_trial` (fresh scalar interpreter) and the batched
-    backend, which hands in a :class:`~repro.sim.batched.BatchedSweep` whose
-    final lane *is* this trial — the sweep's earlier lanes strike and roll
-    back inside ``workload.run``, invisible to the classification here.
-    The batched backend passes ``reconverge=False``: its sweeps keep running
-    to the end.
-    """
     limit = int(prepared.golden_instructions * config.timeout_factor) + 10_000
     with trace_mod.current().span(
         "trial", cat="trial", cycle=plan.cycle, bit=plan.bit, model=plan.model
     ):
         try:
             return _classify_trial(
-                prepared, plan, interp, limit, config, stats, reconverge
+                prepared, plan, interp, limit, config, stats
             )
         except Exception as err:
             # Last-resort containment (the interpreter's own boundary
@@ -463,7 +436,6 @@ def _classify_trial(
     limit: int,
     config: CampaignConfig,
     stats: Optional[Dict[str, int]],
-    reconverge: bool = True,
 ) -> TrialResult:
     workload = prepared.workload
     restore = None
@@ -477,7 +449,7 @@ def _classify_trial(
         # Golden reconvergence rides on the triage switch but not on the
         # model gate below: equal state is the golden suffix for any model,
         # and the interpreter itself waits out stuck-at and control faults.
-        if reconverge and snapshot_mod.resolve_triage(config.triage):
+        if snapshot_mod.resolve_triage(config.triage):
             golden = prepared.snapshots
         if restore is not None and stats is not None:
             stats["restores"] = stats.get("restores", 0) + 1
@@ -582,17 +554,12 @@ _TRAP_KINDS = {
 }
 
 
-def _trial_from_record(record, plan: InjectionPlan) -> TrialResult:
-    """Masked-outcome TrialResult from an injection record.
-
-    Shared by the scalar path (which reads the record off the interpreter)
-    and the batched lane sweep (which carries the record on the lane), so
-    both produce byte-identical trials for the same strike.
-    """
+def _base_trial(interp: Interpreter, plan: InjectionPlan) -> TrialResult:
     trial = TrialResult(
         outcome=Outcome.MASKED, injection_cycle=plan.cycle, bit=plan.bit,
         fault_model=plan.model,
     )
+    record = interp.injection_record
     if record is not None:
         trial.landed = record.landed
         trial.was_live = record.was_live
@@ -601,10 +568,6 @@ def _trial_from_record(record, plan: InjectionPlan) -> TrialResult:
         if record.was_live:
             trial.change_magnitude = record.change_magnitude
     return trial
-
-
-def _base_trial(interp: Interpreter, plan: InjectionPlan) -> TrialResult:
-    return _trial_from_record(interp.injection_record, plan)
 
 
 def _trial_from_trap(
@@ -619,70 +582,6 @@ def _trial_from_trap(
         kind = getattr(trap, "trap_kind", trap.__class__.__name__)
     trial.trap_kind = kind
     return trial
-
-
-def run_batch_trials(
-    prepared: PreparedWorkload,
-    items: Sequence,
-    config: CampaignConfig,
-    stats: Optional[Dict[str, int]] = None,
-) -> List:
-    """Execute ``(index, plan)`` trials through one batched lane sweep.
-
-    Returns ``(index, trial, anomalies)`` triples in completion order:
-    masked lanes first (their verdict was decided in-sweep from the exact
-    injection record a scalar run would produce), then each window's final
-    lane (whose scalar trial the sweep itself became), then diverged lanes
-    via the scalar fastpath.  Each :class:`TrialResult` is byte-identical to
-    :func:`run_trial`'s for the same plan — batch composition only affects
-    wall-clock, never outcomes.  Shared by the serial batched portion and
-    the parallel workers' chunk execution.
-    """
-    from ..sim import batched as batched_mod
-
-    def classify(plan, sweep):
-        return _drive_trial(
-            prepared, plan, sweep, config, stats, reconverge=False
-        )
-
-    masked, peeled, continued, info = batched_mod.sweep_batch(
-        prepared, items, config, classify
-    )
-    if stats is not None:
-        stats["batched_batches"] = stats.get("batched_batches", 0) + 1
-        stats["batched_lanes"] = stats.get("batched_lanes", 0) + info.lanes
-        stats["batched_masked"] = stats.get("batched_masked", 0) + info.masked
-        stats["batched_diverged"] = (
-            stats.get("batched_diverged", 0) + sum(info.divergence.values())
-        )
-        stats["batched_vector_cycles"] = (
-            stats.get("batched_vector_cycles", 0) + info.vector_cycles
-        )
-        if info.fallback:
-            stats["batched_fallbacks"] = stats.get("batched_fallbacks", 0) + 1
-        for reason, count in info.divergence.items():
-            key = f"batched_div_{reason}"
-            stats[key] = stats.get(key, 0) + count
-    out = []
-    for lane in masked:
-        if stats is not None:
-            key = (
-                "triaged_dead_memory" if lane.reason == "dead_memory"
-                else "triaged_masked"
-            )
-            stats[key] = stats.get(key, 0) + 1
-        out.append(
-            (lane.index, _trial_from_record(lane.record, lane.plan), [])
-        )
-    for index, trial in continued:
-        out.append((index, trial, []))
-    for index, plan, _reason in peeled:
-        trial, anomalies = resilience_mod.run_trial_guarded(
-            prepared, index, plan.cycle, plan.bit, plan.seed, config,
-            stats=stats, model=plan.model,
-        )
-        out.append((index, trial, anomalies))
-    return out
 
 
 def draw_plans(
@@ -758,43 +657,9 @@ def resolve_fault_model_config(config: CampaignConfig) -> CampaignConfig:
     return replace(config, fault_model=model)
 
 
-def resolve_batch(value: Optional[int]) -> int:
-    """Resolve the batched-lane batch size: explicit config wins, then
-    ``REPRO_BATCH``, then 0 (off).  Unparsable environment values resolve
-    to 0 — the scalar path is the safe default."""
-    if value is not None:
-        return max(0, value)
-    raw = os.environ.get("REPRO_BATCH", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            return 0
+# Kept only for perfbench/unit.py, which prints it among its settings.
+def resolve_batch(value: Optional[int] = None) -> int:
     return 0
-
-
-def resolve_batch_config(config: CampaignConfig) -> CampaignConfig:
-    """Fold the ``REPRO_BATCH`` default into the config (parent-side, so
-    workers inherit the same batching decision through the pool
-    initializer)."""
-    batch = resolve_batch(config.batch)
-    if batch == config.batch:
-        return config
-    return replace(config, batch=batch)
-
-
-def batched_enabled(config: CampaignConfig) -> bool:
-    """Is the batched lane-sweep backend on for this campaign?
-
-    Requires a batch size > 1 and triage on: the sweep's Masked-in-place
-    verdicts *are* strike-time triage decisions, so with triage off (where
-    the scalar path runs every trial to completion) the backend has nothing
-    sound to decide in place and falls back to scalar.
-    """
-    return bool(
-        config.batch and config.batch > 1
-        and snapshot_mod.resolve_triage(config.triage)
-    )
 
 
 def resolve_telemetry_config(config: CampaignConfig) -> CampaignConfig:
@@ -813,32 +678,12 @@ def resolve_telemetry_config(config: CampaignConfig) -> CampaignConfig:
 
 
 def _chain_heartbeat(heart, on_trial, on_recovery):
-    """Wrap the user callbacks so the heartbeat counts trials/incidents.
-
-    The wrapper is itself batch-aware (``heartbeat_trial.batch``): a burst
-    from a batched lane sweep folds into the heartbeat in one bulk call —
-    so its effective-trials/sec EMA sees batch completions × lanes — and is
-    then forwarded whole to a batch-aware inner callback, or per-trial
-    otherwise.
-    """
-    inner_batch = (
-        getattr(on_trial, "batch", None) if on_trial is not None else None
-    )
+    """Wrap the user callbacks so the heartbeat counts trials/incidents."""
 
     def heartbeat_trial(trial: TrialResult) -> None:
         heart.trial(trial.outcome.value)
         if on_trial is not None:
             on_trial(trial)
-
-    def heartbeat_batch(trials) -> None:
-        heart.trials([trial.outcome.value for trial in trials])
-        if inner_batch is not None:
-            inner_batch(trials)
-        elif on_trial is not None:
-            for trial in trials:
-                on_trial(trial)
-
-    heartbeat_trial.batch = heartbeat_batch
 
     def heartbeat_recovery(line: str) -> None:
         heart.incident()
@@ -1076,7 +921,6 @@ def run_campaign(
     config = resolve_prefix_config(config)
     config = resolve_jobs_config(config)
     config = resolve_fault_model_config(config)
-    config = resolve_batch_config(config)
     config = resolve_telemetry_config(config)
     tracer = trace_mod.activate(config.trace)
     heart = None
@@ -1132,18 +976,12 @@ def run_campaign(
                     prepared, plans, pending, restored, config, result,
                     writer, checkpointer, rlog, on_trial, stats,
                 )
-            elif batched_enabled(config) and len(pending) > 1:
-                _run_serial_batched_portion(
-                    prepared, plans, restored, config, result,
-                    writer, checkpointer, rlog, on_trial, stats,
-                )
             else:
                 _run_serial_portion(
                     prepared, plans, restored, config, result,
                     writer, checkpointer, rlog, on_trial, stats,
                 )
             _record_prefix_stats(config, result, stats)
-            _record_batched_stats(config, result, stats)
             _record_occupancy_event(config, result, prepared)
             if writer is not None:
                 writer.emit(obs_events.campaign_end_event(result))
@@ -1207,106 +1045,6 @@ def _run_serial_portion(
             )
         if on_trial is not None:
             on_trial(trial)
-
-
-def _run_serial_batched_portion(
-    prepared, plans, restored, config, result, writer, checkpointer, rlog,
-    on_trial, stats=None,
-) -> None:
-    """Serial batched-lane execution: ``config.batch`` lanes per sweep.
-
-    Trials complete in batch order (masked lanes of a sweep first, then its
-    peeled scalar reruns), so — like the parallel-resume path — trial
-    events are regenerated in plan order after execution rather than
-    streamed, keeping the log byte-identical to the scalar serial run.
-    Batched mode never records ``wall_ms``: per-trial wall-clock has no
-    meaning for a lane whose verdict came from a shared sweep (the same
-    reason a resumed ``jobs>1`` log drops it).  Completion callbacks fire
-    per finished *trial* in bursts of one batch; a batch-aware callback
-    (``on_trial.batch``) receives each burst whole so throughput EMAs see
-    batch completions × lanes, not batch count.
-    """
-    pending = [
-        (index, plan) for index, plan in enumerate(plans)
-        if index not in restored
-    ]
-    trials_by_index = dict(restored)
-    notify_batch = (
-        getattr(on_trial, "batch", None) if on_trial is not None else None
-    )
-    if on_trial is not None:
-        for index in sorted(restored):
-            on_trial(restored[index])
-    size = config.batch
-    for at in range(0, len(pending), size):
-        finished = run_batch_trials(
-            prepared, pending[at:at + size], config, stats=stats
-        )
-        for index, trial, anomalies in finished:
-            for anomaly in anomalies:
-                kind = anomaly.pop("kind")
-                rlog.emit(kind, note=f"{kind}: trial {index}", **anomaly)
-            trials_by_index[index] = trial
-            if checkpointer is not None:
-                checkpointer.record(index, trial)
-        if notify_batch is not None:
-            notify_batch([trial for _, trial, _ in finished])
-        elif on_trial is not None:
-            for _, trial, _ in finished:
-                on_trial(trial)
-    result.trials.extend(trials_by_index[i] for i in range(len(plans)))
-    if writer is not None:
-        for index, plan in enumerate(plans):
-            writer.emit(
-                obs_events.trial_event(index, plan, trials_by_index[index])
-            )
-
-
-def _record_batched_stats(
-    config: CampaignConfig, result: CampaignResult, stats: Dict[str, int]
-) -> None:
-    """Surface batched-lane execution stats: registry counters plus one
-    ``batched`` event in the ``<log>.resilience`` sidecar.
-
-    Sidecar-only for the same reason as ``prefix_sharing``: trial events are
-    byte-identical with batching on or off, and lane/divergence counts in
-    the main log would break that differential guarantee.
-    """
-    if not stats.get("batched_batches"):
-        return
-    registry = global_registry()
-    registry.counter("batch.batches").inc(stats.get("batched_batches", 0))
-    registry.counter("batch.lanes").inc(stats.get("batched_lanes", 0))
-    registry.counter("batch.masked").inc(stats.get("batched_masked", 0))
-    registry.counter("batch.diverged").inc(stats.get("batched_diverged", 0))
-    registry.counter("batch.vector_cycles").inc(
-        stats.get("batched_vector_cycles", 0)
-    )
-    registry.counter("batch.sweep_fallbacks").inc(
-        stats.get("batched_fallbacks", 0)
-    )
-    divergence = {
-        key[len("batched_div_"):]: value
-        for key, value in stats.items()
-        if key.startswith("batched_div_") and value
-    }
-    for reason, count in sorted(divergence.items()):
-        registry.counter(f"batch.divergence.{reason}").inc(count)
-    if config.obs_log:
-        obs_events.append_sidecar_event(
-            config.obs_log,
-            obs_events.batched_event(
-                result.workload,
-                result.scheme,
-                batches=stats.get("batched_batches", 0),
-                lanes=stats.get("batched_lanes", 0),
-                masked=stats.get("batched_masked", 0),
-                diverged=stats.get("batched_diverged", 0),
-                vector_cycles=stats.get("batched_vector_cycles", 0),
-                fallbacks=stats.get("batched_fallbacks", 0),
-                divergence=divergence,
-            ),
-        )
 
 
 def _run_parallel_portion(

@@ -98,9 +98,7 @@ def _config_fingerprint(config: CampaignConfig) -> dict:
     recovery changes how trials get executed, never what they compute.
     The telemetry sidecar paths (``trace``, ``heartbeat``) are excluded on
     the same grounds: wall-clock spans and status files observe a campaign
-    without touching its results.  ``batch`` is excluded because batched
-    lane-parallel execution is differentially verified byte-identical to
-    the scalar fastpath, so batch size must not fragment the cache.
+    without touching its results.
     ``trials`` and ``seed`` are kept in the fingerprint *and* surfaced as
     top-level key fields for human inspection.
 
@@ -117,7 +115,7 @@ def _config_fingerprint(config: CampaignConfig) -> dict:
     fields = dataclasses.asdict(config)
     for non_semantic in (
         "jobs", "obs_log", "obs_timing", "checkpoint", "resilience",
-        "snapshot_every", "triage", "trace", "heartbeat", "batch",
+        "snapshot_every", "triage", "trace", "heartbeat",
     ):
         fields.pop(non_semantic, None)
     model = resolve_fault_model(fields.pop("fault_model", None))

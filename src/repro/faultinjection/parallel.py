@@ -41,11 +41,13 @@ Design (see ``docs/PERFORMANCE.md``):
 from __future__ import annotations
 
 import os
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..obs import events as obs_events
 from ..obs import trace as trace_mod
 from ..obs.metrics import global_registry
 from ..sim.faults import InjectionPlan
@@ -189,93 +191,27 @@ def _execute_chunk_trials(
     config: CampaignConfig,
     chunk: Sequence[Tuple[int, int, int, int, str]],
 ) -> Tuple[List[Tuple[int, TrialResult]], List[Dict], Dict[str, int]]:
-    from .campaign import batched_enabled
-
-    if batched_enabled(config) and len(chunk) > 1:
-        return _execute_chunk_batched(prepared, config, chunk)
+    timed = bool(config.obs_log) and config.obs_timing
+    results: List[Tuple[int, TrialResult]] = []
     anomalies: List[Dict] = []
+    events: List[Dict] = []
     stats: Dict[str, int] = {}
-    if not config.obs_log:
-        results = []
-        for index, cycle, bit, seed, model in chunk:
-            trial, notes = resilience_mod.run_trial_guarded(
-                prepared, index, cycle, bit, seed, config, stats=stats,
-                model=model,
-            )
-            results.append((index, trial))
-            anomalies.extend(notes)
-        return results, anomalies, stats
-    import time
-
-    from ..obs import events as obs_events
-
-    results = []
-    events = []
     for index, cycle, bit, seed, model in chunk:
-        t0 = time.perf_counter() if config.obs_timing else 0.0
+        t0 = time.perf_counter() if timed else 0.0
         trial, notes = resilience_mod.run_trial_guarded(
             prepared, index, cycle, bit, seed, config, stats=stats,
             model=model,
         )
-        wall_ms = (
-            (time.perf_counter() - t0) * 1e3 if config.obs_timing else None
-        )
         results.append((index, trial))
         anomalies.extend(notes)
-        events.append(
-            obs_events.trial_event(
-                index,
-                InjectionPlan(cycle=cycle, bit=bit, seed=seed, model=model),
-                trial, wall_ms=wall_ms,
+        if config.obs_log:
+            wall_ms = (time.perf_counter() - t0) * 1e3 if timed else None
+            plan = InjectionPlan(cycle=cycle, bit=bit, seed=seed, model=model)
+            events.append(
+                obs_events.trial_event(index, plan, trial, wall_ms=wall_ms)
             )
-        )
-    obs_events.write_shard(config.obs_log, chunk[0][0], events)
-    return results, anomalies, stats
-
-
-def _execute_chunk_batched(
-    prepared: PreparedWorkload,
-    config: CampaignConfig,
-    chunk: Sequence[Tuple[int, int, int, int, str]],
-) -> Tuple[List[Tuple[int, TrialResult]], List[Dict], Dict[str, int]]:
-    """Batched-lane execution of one chunk (``config.batch`` lanes/sweep).
-
-    A lane's verdict never depends on which lanes share its sweep, so
-    sub-batching a chunk produces trials byte-identical to the serial
-    batched portion's (and the scalar paths').  Trial events are sorted
-    back into plan order before the shard write — shards must concatenate
-    into the serial log byte for byte.  Batched mode never records
-    ``wall_ms`` (see ``_run_serial_batched_portion``).
-    """
-    from .campaign import run_batch_trials
-
-    anomalies: List[Dict] = []
-    stats: Dict[str, int] = {}
-    items = [
-        (index, InjectionPlan(cycle=cycle, bit=bit, seed=seed, model=model))
-        for index, cycle, bit, seed, model in chunk
-    ]
-    results: List[Tuple[int, TrialResult]] = []
-    size = config.batch
-    for at in range(0, len(items), size):
-        for index, trial, notes in run_batch_trials(
-            prepared, items[at:at + size], config, stats=stats
-        ):
-            results.append((index, trial))
-            anomalies.extend(notes)
-    results.sort(key=lambda item: item[0])
     if config.obs_log:
-        from ..obs import events as obs_events
-
-        plan_by_index = dict(items)
-        obs_events.write_shard(
-            config.obs_log,
-            chunk[0][0],
-            [
-                obs_events.trial_event(index, plan_by_index[index], trial)
-                for index, trial in results
-            ],
-        )
+        obs_events.write_shard(config.obs_log, chunk[0][0], events)
     return results, anomalies, stats
 
 

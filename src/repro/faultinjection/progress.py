@@ -78,27 +78,6 @@ class ProgressPrinter:
         self.done += 1
         self._done.inc()
         self._outcomes[trial.outcome].inc()
-        self._maybe_emit()
-
-    def batch(self, trials) -> None:
-        """Account a burst of trials from one batched lane sweep at once.
-
-        Equivalent to calling the printer once per trial, except the rate
-        check runs after the whole burst is folded in.  That keeps the EMA
-        honest for batched campaigns: per-trial calls would sample the
-        instantaneous rate at the burst's *first* trial — a window spanning
-        the whole sweep but containing none of its completions — biasing
-        the rolling trials/sec (and the ETA) low by up to a full batch.
-        """
-        for trial in trials:
-            self.done += 1
-            self._done.inc()
-            self._outcomes[trial.outcome].inc()
-        if not trials:
-            return
-        self._maybe_emit()
-
-    def _maybe_emit(self) -> None:
         now = time.perf_counter()
         if self._limit.due(now) or self.done == self.total:
             self._limit.mark(now)

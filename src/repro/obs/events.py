@@ -55,7 +55,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 __all__ = [
     "SCHEMA_VERSION",
     "EventLogWriter",
-    "batched_event",
     "cache_hit_event",
     "campaign_begin_event",
     "campaign_end_event",
@@ -221,42 +220,6 @@ def prefix_sharing_event(
         "triaged_masked": triaged_masked,
         "triaged_dead_memory": triaged_dead_memory,
         "reconverged": reconverged,
-    }
-
-
-def batched_event(
-    workload: str,
-    scheme: str,
-    batches: int = 0,
-    lanes: int = 0,
-    masked: int = 0,
-    diverged: int = 0,
-    vector_cycles: int = 0,
-    fallbacks: int = 0,
-    divergence: Optional[Dict[str, int]] = None,
-) -> Dict:
-    """Batched lane-sweep execution totals for one campaign.
-
-    ``batches`` counts sweeps, ``lanes`` the trials they carried, ``masked``
-    the lanes whose verdict was decided in-sweep, ``diverged`` the lanes
-    peeled to the scalar fastpath (``divergence`` breaks them down by
-    reason), ``vector_cycles`` the golden cycles executed in lock-step, and
-    ``fallbacks`` the sweeps that aborted and peeled everything.  Lives in
-    the sidecar, not the main log: trial events must stay byte-identical
-    with batching on or off (see :mod:`repro.sim.batched`).
-    """
-    return {
-        "event": "batched",
-        "v": SCHEMA_VERSION,
-        "workload": workload,
-        "scheme": scheme,
-        "batches": batches,
-        "lanes": lanes,
-        "masked": masked,
-        "diverged": diverged,
-        "vector_cycles": vector_cycles,
-        "fallbacks": fallbacks,
-        "divergence": dict(sorted((divergence or {}).items())),
     }
 
 

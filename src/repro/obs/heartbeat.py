@@ -115,22 +115,6 @@ class HeartbeatWriter:
         if self._limit.due(now):
             self.write(now=now)
 
-    def trials(self, outcomes) -> None:
-        """Account a whole burst of completed trials at once.
-
-        Batched lane sweeps finish many trials in one step.  Folding them
-        in one call (instead of per-trial ``trial`` calls) keeps the rate
-        estimate honest: the burst's own trials are inside the window the
-        instantaneous rate is sampled over, so the EMA reflects effective
-        trials/sec — lanes per second, not sweeps per second.
-        """
-        for outcome in outcomes:
-            self.done += 1
-            self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        now = time.perf_counter()
-        if self._limit.due(now):
-            self.write(now=now)
-
     def incident(self, kind: str = "") -> None:
         """Count one resilience action (retry, fallback, quarantine, ...)."""
         self.incidents += 1

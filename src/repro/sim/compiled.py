@@ -92,7 +92,6 @@ __all__ = [
     "compile_module",
     "compile_variants",
     "module_token",
-    "superblock_stats",
 ]
 
 _F32_STRUCT = struct.Struct("<f")
@@ -1124,18 +1123,3 @@ def compile_variants(
         out.append(cm)
     return out
 
-
-def superblock_stats(cm: CompiledModule) -> Tuple[int, int]:
-    """``(instructions inside fused superblocks, total instructions)``.
-
-    A static measure of how much of the module executes as straight-line
-    fused runs — the portion a batched lane sweep can stride through without
-    per-instruction dispatch.  The ratio bounds the vectorizable fraction of
-    a lock-step batch between injection stops.
-    """
-    covered = total = 0
-    for cf in cm.functions.values():
-        for cb in cf.blocks.values():
-            total += len(cb.code)
-            covered += sum(sb[1] for sb in cb.fused if sb is not None)
-    return covered, total

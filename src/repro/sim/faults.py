@@ -276,10 +276,6 @@ def _corrupt_slot(interp, record: InjectionRecord, slot, mutate) -> bool:
         record.was_live = False
         return False
     mutated = mutate(value_obj.type, current)
-    if interp._undo_log is not None:
-        # Batched lane sweep: journal the binding so the strike can be
-        # rolled back byte-exactly after the lane's verdict is recorded.
-        interp._undo_log.append(("reg", frame, slot.value_key, current))
     frame.values[slot.value_key] = mutated
     record.landed = True
     record.was_live = True
@@ -713,10 +709,6 @@ class CacheLineFault(FaultModel):
             data[:avail] = src_seg.data[s_off:s_off + avail]
         before = int.from_bytes(seg.data[offset:offset + 4], "little")
         changed = bytes(seg.data[offset:end]) != bytes(data)
-        if interp._undo_log is not None:
-            interp._undo_log.append(
-                ("bytes", seg, offset, bytes(seg.data[offset:end]))
-            )
         seg.data[offset:end] = data
         after = int.from_bytes(seg.data[offset:offset + 4], "little")
         dead = not changed

@@ -206,10 +206,6 @@ class Interpreter:
         #: golden-run OccupancyMap for the memory-hierarchy fault models
         #: (run_trial attaches it from the PreparedWorkload; None otherwise)
         self._occupancy = None
-        #: undo journal for register/byte-level fault mutations, mirroring
-        #: ``Memory._journal`` for word strikes — only the batched lane sweep
-        #: (:mod:`repro.sim.batched`) ever sets it; ``None`` is free
-        self._undo_log = None
         # Fast-path execution state (see _run_compiled).
         self._frames: List[Frame] = []
         self._frame: Optional[Frame] = None
@@ -894,10 +890,7 @@ class Interpreter:
         hooked = self.value_hook is not None
         # Injection *commits* at most once; everything the tracked variant
         # records after that instant is dead bookkeeping, so the loop swaps in
-        # the untracked variant the moment the fault lands (for a batched lane
-        # sweep: the moment the final lane's fault lands — the rolled-back
-        # strikes before it leave ``injection_record`` unset and keep tracking
-        # alive for the next lane's register-file materialization).
+        # the untracked variant the moment the fault lands.
         if injection is not None:
             cm, self._untracked_cm = compile_variants(
                 self.module, (track, hooked), (False, hooked)

@@ -66,11 +66,6 @@ class Memory:
     def __init__(self) -> None:
         self._segments: Dict[int, Segment] = {}
         self._next_index = 1
-        #: optional undo journal: when set to a list, every word-level fault
-        #: mutation appends ``("word", seg, offset, before)`` before writing,
-        #: so a batched lane sweep can roll the strike back byte-exactly
-        #: (see :mod:`repro.sim.batched`).  ``None`` (the default) is free.
-        self._journal = None
 
     # -- mapping -----------------------------------------------------------------
 
@@ -127,8 +122,6 @@ class Memory:
         self._check_word(seg, offset)
         before = int.from_bytes(seg.data[offset : offset + 4], "little")
         after = before ^ (1 << (bit % 32))
-        if self._journal is not None:
-            self._journal.append(("word", seg, offset, before))
         seg.data[offset : offset + 4] = after.to_bytes(4, "little")
         return before, after
 
@@ -145,8 +138,6 @@ class Memory:
         before = int.from_bytes(seg.data[offset : offset + 4], "little")
         mask = 1 << (bit % 32)
         after = (before | mask) if stuck else (before & ~mask)
-        if self._journal is not None:
-            self._journal.append(("word", seg, offset, before))
         seg.data[offset : offset + 4] = after.to_bytes(4, "little")
         return before, after
 

@@ -74,6 +74,15 @@ def test_key_ignores_jobs(module, config):
     )
 
 
+def test_key_is_pinned_across_commits(module, config):
+    """The digest of a fixed campaign must not drift: a changed key would
+    orphan every existing cache entry and checkpoint.  Bump it only together
+    with ``CACHE_SCHEMA_VERSION`` or a deliberate key-format change."""
+    assert campaign_key(module, "w", "dup", config) == (
+        "5d1d2082265917f5303c0b70eee33595143f3144a11475121a2a3272a84d4bb2"
+    )
+
+
 def test_key_covers_module_ir(config):
     m3, _ = build_sum_loop(mul_factor=3)
     m5, _ = build_sum_loop(mul_factor=5)

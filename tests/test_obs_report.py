@@ -7,7 +7,12 @@ import json
 import pytest
 
 from repro.obs.__main__ import main as obs_main
-from repro.obs.events import SCHEMA_VERSION, EventLogWriter
+from repro.obs.events import (
+    SCHEMA_VERSION,
+    EventLogWriter,
+    prefix_sharing_event,
+    resilience_log_path,
+)
 from repro.obs.report import LogReport, percentile
 
 
@@ -158,3 +163,38 @@ def test_cli_report_json_to_stdout(tmp_path, capsys):
     assert obs_main(["report", str(log), "--json", "-"]) == 0
     captured = capsys.readouterr().out
     assert '"trials": 8' in captured
+
+
+def test_cli_report_skips_legacy_batched_sidecar_event(tmp_path, capsys):
+    """Older builds wrote a ``batched`` event into the resilience sidecar;
+    the report must skip that unknown kind and still total the
+    ``prefix_sharing`` events around it."""
+    log = tmp_path / "log.jsonl"
+    _write_synthetic_log(log)
+    sharing = prefix_sharing_event(
+        "w1", "dup", restores=5, replay_cycles_saved=400, triaged_masked=2,
+        reconverged=1,
+    )
+    legacy = {
+        "event": "batched", "v": SCHEMA_VERSION, "workload": "w1",
+        "scheme": "dup", "batches": 1, "lanes": 8, "masked": 2,
+        "diverged": 6, "vector_cycles": 900, "fallbacks": 0,
+        "divergence": {"live": 6},
+    }
+    with EventLogWriter(resilience_log_path(str(log))) as w:
+        w.emit(sharing)
+        w.emit(legacy)
+        w.emit(sharing)
+    out = tmp_path / "report.json"
+    assert obs_main(["report", str(log), "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "prefix sharing (2 campaign(s)):" in text
+    assert "snapshot restores:            10" in text
+    data = json.loads(out.read_text())
+    assert data["skipped_lines"] == 0
+    assert data["trials"] == 8
+    prefix = data["prefix_sharing"]
+    assert prefix["campaigns"] == 2
+    assert prefix["restores"] == 10
+    assert prefix["replay_cycles_saved"] == 800
+    assert prefix["reconverged"] == 2

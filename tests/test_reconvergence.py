@@ -34,7 +34,7 @@ def _fastpath(monkeypatch):
     """Reconvergence rides on fast-path snapshots; pin the knobs."""
     monkeypatch.setenv("REPRO_FASTPATH", "1")
     for name in ("REPRO_SNAPSHOT", "REPRO_SNAPSHOT_EVERY", "REPRO_TRIAGE",
-                 "REPRO_FAULT_MODEL", "REPRO_BATCH"):
+                 "REPRO_FAULT_MODEL"):
         monkeypatch.delenv(name, raising=False)
 
 
