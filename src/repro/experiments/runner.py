@@ -31,6 +31,7 @@ from ..faultinjection.outcomes import CampaignResult
 from ..faultinjection.parallel import default_jobs
 from ..faultinjection.resilience import ResiliencePolicy, checkpoint_dir_env
 from ..obs import events as obs_events
+from ..obs import trace as trace_mod
 from ..obs.config import obs_log_path
 from ..obs.metrics import global_registry
 from ..profiling.profiler import collect_profiles
@@ -183,18 +184,37 @@ class ExperimentCache:
     # -- timing runs (Figure 12) -----------------------------------------------------------
 
     def runtime_cycles(self, name: str, scheme: str) -> float:
-        """Estimated out-of-order cycles of one golden run under ``scheme``."""
+        """Estimated out-of-order cycles of one golden run under ``scheme``.
+
+        Reuses the prepared module of a campaign when one is memoised.
+        Otherwise (``full_dup`` in a figure sweep) it prepares without
+        snapshot capture and does not keep the result: a timing run reads
+        no snapshots, and they would stay resident for the rest of the
+        process.  A later campaign on the same pair (``summary`` under
+        ``all`` runs full_dup campaigns) then prepares again, with capture.
+        """
         key = (name, scheme)
         if key not in self._runtimes:
-            prepared = self.prepared(name, scheme)
-            timing = TimingModel(self.settings.campaign.sim)
+            config = self.settings.campaign_config()
+            prepared = self._prepared.get((name, scheme, False))
+            if prepared is None:
+                prepared = prepare(
+                    get_workload(name), scheme,
+                    replace(config, snapshot_every=0, swap_train_test=False),
+                )
+            timing = TimingModel(config.sim)
             interp = Interpreter(
                 prepared.module,
-                config=self.settings.campaign.sim,
+                config=config.sim,
                 guard_mode="count",
                 timing=timing,
             )
-            prepared.workload.run(prepared.module, prepared.inputs, interpreter=interp)
+            tracer = trace_mod.activate(trace_mod.resolve_trace(config.trace))
+            with tracer.span("timing_run", cat="experiment", workload=name,
+                             scheme=scheme):
+                prepared.workload.run(
+                    prepared.module, prepared.inputs, interpreter=interp
+                )
             self._runtimes[key] = timing.cycles
         return self._runtimes[key]
 

@@ -419,6 +419,8 @@ class TraceSummary:
     wall alone would leave preparation out of the denominator.
     ``prepare_in_campaign_us`` is the part of ``prepare_us`` nested inside
     campaign spans (a single campaign prepares inside its own span).
+    ``timing_us`` sums the Figure 12 timed golden runs (``timing_run``
+    spans), which an experiment sweep runs outside any campaign.
     """
 
     def __init__(self) -> None:
@@ -427,6 +429,7 @@ class TraceSummary:
         self.campaign_wall_us = 0
         self.prepare_us = 0
         self.prepare_in_campaign_us = 0
+        self.timing_us = 0
         self.campaigns: List[Dict] = []
         self.instants: Dict[str, int] = {}
         self.pids: List[int] = []
@@ -510,6 +513,8 @@ def summarize_trace(document) -> TraceSummary:
             })
         elif name == "prepare":
             summary.prepare_us += dur
+        elif name == "timing_run":
+            summary.timing_us += dur
         elif name == "restore":
             summary.restores += 1
             summary.restore_cycles_skipped += int(args.get("cycles", 0) or 0)
@@ -581,21 +586,22 @@ def render_summary(summary: TraceSummary, top: int = 20) -> str:
     injection = max(
         0, summary.campaign_wall_us - summary.prepare_in_campaign_us
     )
-    other = max(0, summary.trace_wall_us - prepare - injection)
+    timing = summary.timing_us
+    other = max(0, summary.trace_wall_us - prepare - injection - timing)
     if summary.trace_wall_us:
-        for label, us in (
-            ("preparation:", prepare),
-            ("injection + overhead:", injection),
-            ("outside campaigns:", other),
-        ):
-            w(f"  {label:21s} {_fmt_us(us):>10s} ({us / wall:5.1%})")
+        rows = [("preparation:", prepare), ("injection + overhead:", injection)]
+        if timing:
+            rows.append(("timing runs (figure 12):", timing))
+        rows.append(("outside campaigns:", other))
+        for label, us in rows:
+            w(f"  {label:24s} {_fmt_us(us):>10s} ({us / wall:5.1%})")
     replay = summary.phases.get(("trial", "replay"), {}).get("total_us", 0)
     detect = summary.phases.get(("trial", "detect"), {}).get("total_us", 0)
     if replay or detect:
-        w(f"  replay vs detect:     {_fmt_us(replay):>10s} replaying the "
+        w(f"  replay vs detect:        {_fmt_us(replay):>10s} replaying the "
           f"golden prefix, {_fmt_us(detect)} post-injection")
     if summary.restores:
-        w(f"  snapshot restores:    {summary.restores} trials fast-forwarded, "
+        w(f"  snapshot restores:       {summary.restores} trials fast-forwarded, "
           f"{summary.restore_cycles_skipped} golden cycles skipped")
     if summary.instants:
         w("")

@@ -69,6 +69,7 @@ from ..ir.instructions import (
     GuardRange,
     GuardValues,
     ICmp,
+    Instruction,
     IntrinsicCall,
     Load,
     Phi,
@@ -156,7 +157,8 @@ class CompiledFunction:
 
 
 class CompiledModule:
-    """All compiled functions of one module for one (track, hooked) variant.
+    """All compiled functions of one module for one ``(track, hooked,
+    costs)`` variant.
 
     ``pinned`` holds a strong reference to every object whose ``id`` appears
     in ``token`` — that is what makes token comparison sound (see module
@@ -165,7 +167,7 @@ class CompiledModule:
 
     __slots__ = ("module", "variant", "token", "functions", "pinned")
 
-    def __init__(self, module: Module, variant: Tuple[bool, bool],
+    def __init__(self, module: Module, variant: Tuple,
                  token: Tuple, pinned: List) -> None:
         self.module = module
         self.variant = variant
@@ -293,12 +295,14 @@ _ENV["_ps"] = _phi_slow
 
 
 def _build_commit(incomings, phis, fallback, track: bool,
-                  hooked: bool) -> Callable:
+                  hooked: bool, costs=None) -> Callable:
     """One closure committing every phi of a block for one predecessor.
 
     Emits all fetches into locals first, then all dict writes — the
     parallel-copy semantics of the reference loop — with constants folded
-    and tracking/hook statements baked per variant.
+    and tracking/hook statements baked per variant.  A timed variant
+    (``costs`` set) first moves each phi's ready time from its incoming, in
+    phi order, as the reference loop's ``observe_phi`` calls do.
     """
     b: List[Tuple[str, object]] = []
     fetch = ""
@@ -334,6 +338,14 @@ def _build_commit(incomings, phis, fallback, track: bool,
         if hooked:
             code += f"I.value_hook(p{i}, t{i})\n"
     code += "return None\n"
+    if costs is not None:
+        timing = _TIMING_PROLOGUE
+        for i, op in enumerate(incomings):
+            if isinstance(op, Instruction):
+                timing += f"rd[d{i}] = rd.get({_key_name(op, i, b)}, 0.0)\n"
+            else:
+                timing += f"rd[d{i}] = 0.0\n"
+        code = timing + code
     return _build_step(b, code)
 
 
@@ -379,6 +391,60 @@ def _post(instr, track: bool, hooked: bool,
     if hooked and hook:
         code += f"I.value_hook(ins, {result})\n"
     return code
+
+
+#: Prepended once to every timed closure (step, superblock or phi commit):
+#: the timing model and its ready-time table as locals.
+_TIMING_PROLOGUE = "tm = I.timing\nrd = tm.ready\n"
+
+
+def _key_name(op, i: int, bindings: List[Tuple[str, object]]) -> str:
+    """Binding holding ``id(op)``: the ``k{i}`` its fetch already bound, or
+    a fresh ``tk{i}`` for an operand the fragment reads some other way."""
+    if (f"k{i}", id(op)) in bindings:
+        return f"k{i}"
+    bindings.append((f"tk{i}", id(op)))
+    return f"tk{i}"
+
+
+def _ready_code(ops, bindings: List[Tuple[str, object]]) -> str:
+    """Assign to ``te`` the latest ready time over ``ops``.
+
+    Only instruction results are ever in the ready table (constants,
+    globals and arguments are ready at 0), so only they are looked up, once
+    each.
+    """
+    keys: List[str] = []
+    seen = set()
+    for i, op in enumerate(ops):
+        if isinstance(op, Instruction) and id(op) not in seen:
+            seen.add(id(op))
+            keys.append(_key_name(op, i, bindings))
+    if not keys:
+        return "te = 0.0\n"
+    code = f"te = rd.get({keys[0]}, 0.0)\n"
+    for key in keys[1:]:
+        code += f"tx = rd.get({key}, 0.0)\nif tx > te:\n    te = tx\n"
+    return code
+
+
+def _timing_tail(instr, costs, bindings: List[Tuple[str, object]]) -> str:
+    """A linear instruction's report to the timing model's issue core, with
+    its slot cost and latency resolved from ``costs`` at compile time.
+    Appended after the instruction's own effects, so a trapping instruction
+    is never issued (as on the reference loop)."""
+    slots, latency = costs.of(instr)
+    bindings.append(("tsl", slots))
+    bindings.append(("tlat", latency))
+    code = _ready_code(instr._operands, bindings)
+    cls = instr.__class__
+    if cls is Load:
+        return code + "rd[kr] = tm.load(te, p, tsl, tlat)\n"
+    if cls is Store:
+        return code + "tm.store(te, p, tsl)\n"
+    if cls in (GuardEq, GuardRange, GuardValues):
+        return code + "tm.issue(te, tsl, tlat)\n"
+    return code + "rd[kr] = tm.issue(te, tsl, tlat)\n"
 
 
 def _int_wrap_expr(expr: str) -> str:
@@ -779,9 +845,10 @@ def _compile_guard_values(instr, track, hooked):
     return b, code
 
 
-def _compile_br(instr, cf, track, hooked):
+def _compile_br(instr, cf, track, hooked, costs=None):
     b: List[Tuple[str, object]] = [("cbt", cf.blocks[instr.target])]
-    code = (
+    code = "tm.jump()\n" if costs is not None else ""
+    code += (
         "if I._pending_control_fault:\n"
         "    return I._corrupt_cb(frame, cbt)\n"
         "return cbt\n"
@@ -789,11 +856,17 @@ def _compile_br(instr, cf, track, hooked):
     return b, code
 
 
-def _compile_condbr(instr, cf, track, hooked):
+def _compile_condbr(instr, cf, track, hooked, costs=None):
     b: List[Tuple[str, object]] = []
     code = _operand(instr._operands[0], 0, b, "c")
     b.append(("cbt", cf.blocks[instr.if_true]))
     b.append(("cbf", cf.blocks[instr.if_false]))
+    if costs is not None:
+        # The outcome, not a control fault's wrong target, trains the
+        # predictor; the branch issues before the target block's phis.
+        b.append(("tk", id(instr)))
+        code += _ready_code(instr._operands, b)
+        code += "tm.branch(te, tk, c & 1)\n"
     code += (
         "cb = cbt if c & 1 else cbf\n"
         "if I._pending_control_fault:\n"
@@ -803,7 +876,7 @@ def _compile_condbr(instr, cf, track, hooked):
     return b, code
 
 
-def _compile_call(instr, pos, own_cb, cm, track, hooked):
+def _compile_call(instr, pos, own_cb, cm, track, hooked, costs=None):
     callee = instr.callee
     callee_cf = cm.functions[callee]
     b: List[Tuple[str, object]] = [
@@ -819,6 +892,15 @@ def _compile_call(instr, pos, own_cb, cm, track, hooked):
         "frames = I._frames\n"
         "if len(frames) >= I._max_depth:\n"
         "    raise StackOverflowTrap(-1)\n"
+    )
+    if costs is not None:
+        # The call issues before the callee's frame is pushed.
+        slots, latency = costs.of(instr)
+        b.append(("tsl", slots))
+        b.append(("tlat", latency))
+        code += _ready_code(instr._operands, b)
+        code += "tm.issue(te, tsl, tlat)\n"
+    code += (
         "nf = Frame(callee, ins, I._stack_sp)\n"
         "nv = nf.values\n"
     )
@@ -841,12 +923,20 @@ def _compile_call(instr, pos, own_cb, cm, track, hooked):
     return b, code
 
 
-def _compile_ret(instr, track, hooked):
+def _compile_ret(instr, track, hooked, costs=None):
     b: List[Tuple[str, object]] = []
     if instr._operands:
         code = _operand(instr._operands[0], 0, b, "v")
     else:
         code = "v = None\n"
+    timing = ""
+    if costs is not None:
+        # After the frame pop: the caller's call result becomes ready when
+        # the returned operand is.
+        timing = _indent(
+            _ready_code(instr._operands, b)
+            + "tm.returned(frame.ret_key, te)\n"
+        )
     code += (
         "frame.active = False\n"
         "frames = I._frames\n"
@@ -863,6 +953,7 @@ def _compile_ret(instr, track, hooked):
         code += "    I._rf_log.append((caller, frame.call_instr))\n"
     if hooked:
         code += "    I.value_hook(frame.call_instr, v)\n"
+    code += timing
     code += (
         "I._frame = caller\n"
         "I._resume_cb = frame.ret_cb\n"
@@ -905,14 +996,13 @@ _SIMPLE_COMPILERS = {
     GuardEq: _compile_guard_eq,
     GuardRange: _compile_guard_range,
     GuardValues: _compile_guard_values,
-    Ret: _compile_ret,
     Alloca: _compile_alloca,
 }
 
 #: Instruction classes whose step fragments always fall through (``return
 #: None``) — the only ones eligible for superblock fusion.  Control transfers
 #: (Br/CondBr/Call/Ret) and phis need the driving loop.
-_LINEAR_CLASSES = frozenset(_SIMPLE_COMPILERS) - {Ret}
+_LINEAR_CLASSES = frozenset(_SIMPLE_COMPILERS)
 
 _DIV_OPCODES = frozenset({"sdiv", "udiv", "srem", "urem"})
 
@@ -952,6 +1042,7 @@ def _rename_bindings(
 def _build_fused(
     parts: List[Tuple[List[Tuple[str, object]], str, bool]],
     terminator: Optional[Tuple[List[Tuple[str, object]], str]] = None,
+    prologue: str = "",
 ):
     """Fuse per-instruction fragments into one superblock closure.
 
@@ -963,11 +1054,13 @@ def _build_fused(
     is the Br/CondBr/Ret fragment (all of which cannot trap): its own
     ``return`` statement becomes the superblock's return value, which the
     driving loop dispatches exactly like a single-step result.
+    ``prologue`` (the timed variants' locals) runs once, before the first
+    fragment.
 
     Returns ``(closure, n_instructions)``.
     """
     bindings: List[Tuple[str, object]] = []
-    body: List[str] = []
+    body: List[str] = [prologue]
     for j, (b, code, traps) in enumerate(parts):
         b, code = _rename_bindings(j, b, code)
         bindings.extend(b)
@@ -992,8 +1085,9 @@ def _build_fused(
 
 
 def _fill_block(cb: CompiledBlock, cf: CompiledFunction, cm: CompiledModule,
-                track: bool, hooked: bool) -> None:
+                track: bool, hooked: bool, costs=None) -> None:
     instrs = cb.block.instructions
+    prologue = _TIMING_PROLOGUE if costs is not None else ""
     code: List[Optional[Callable]] = [None] * len(instrs)
     fused: List[Optional[Tuple[Callable, int]]] = [None] * len(instrs)
     phis = []
@@ -1008,15 +1102,20 @@ def _fill_block(cb: CompiledBlock, cf: CompiledFunction, cm: CompiledModule,
         compiler = _SIMPLE_COMPILERS.get(cls)
         if compiler is not None:
             b, frag = compiler(instr, track, hooked)
+            if costs is not None:
+                frag = (frag[: -len("return None\n")]
+                        + _timing_tail(instr, costs, b) + "return None\n")
+        elif cls is Ret:
+            b, frag = _compile_ret(instr, track, hooked, costs)
         elif cls is Br:
-            b, frag = _compile_br(instr, cf, track, hooked)
+            b, frag = _compile_br(instr, cf, track, hooked, costs)
         elif cls is CondBr:
-            b, frag = _compile_condbr(instr, cf, track, hooked)
+            b, frag = _compile_condbr(instr, cf, track, hooked, costs)
         elif cls is Call:
-            b, frag = _compile_call(instr, pos, cb, cm, track, hooked)
+            b, frag = _compile_call(instr, pos, cb, cm, track, hooked, costs)
         else:  # pragma: no cover - verifier prevents
             b, frag = _compile_unhandled(instr)
-        code[pos] = _build_step(b, frag)
+        code[pos] = _build_step(b, prologue + frag)
         if cls in _LINEAR_CLASSES:
             if run_start is None:
                 run_start = pos
@@ -1027,9 +1126,10 @@ def _fill_block(cb: CompiledBlock, cf: CompiledFunction, cm: CompiledModule,
         # *inside* the run, which a closure cannot re-enter.
         if run_start is not None:
             if cls in (Br, CondBr, Ret):
-                fused[run_start] = _build_fused(run_parts, (b, frag))
+                fused[run_start] = _build_fused(run_parts, (b, frag),
+                                                prologue)
             elif len(run_parts) >= 2:
-                fused[run_start] = _build_fused(run_parts)
+                fused[run_start] = _build_fused(run_parts, None, prologue)
         run_start, run_parts = None, []
     cb.code = code
     cb.fused = fused
@@ -1053,28 +1153,33 @@ def _fill_block(cb: CompiledBlock, cf: CompiledFunction, cm: CompiledModule,
             (_getter(op), id(phi), phi) for op, phi in zip(incomings, phis)
         )
         cb.phi_stages[pred] = (
-            _build_commit(incomings, phis, fallback, track, hooked), n,
+            _build_commit(incomings, phis, fallback, track, hooked, costs), n,
         )
     firsts = [phi._operands[0] for phi in phis]
     fb0 = tuple((_getter(op), id(phi), phi) for op, phi in zip(firsts, phis))
-    cb.phi_fallback = (_build_commit(firsts, phis, fb0, track, hooked), n)
+    cb.phi_fallback = (
+        _build_commit(firsts, phis, fb0, track, hooked, costs), n,
+    )
 
 
-def compile_module(module: Module, track: bool, hooked: bool) -> CompiledModule:
+def compile_module(module: Module, track: bool, hooked: bool,
+                   costs=None) -> CompiledModule:
     """Return (building and caching as needed) the compiled form of ``module``.
 
     ``track`` bakes in register-file bookkeeping (fault-injection runs);
-    ``hooked`` bakes in value-hook dispatch (profiling/tracing runs).  The
+    ``hooked`` bakes in value-hook dispatch (profiling/tracing runs);
+    ``costs`` (a :class:`~repro.sim.timing.CostTable`, or ``None``) bakes in
+    calls to the run's :class:`~repro.sim.timing.TimingModel` with each
+    instruction's slot cost and latency resolved (Figure 12 runs).  The
     cache lives on the module object and is invalidated whenever the structure
     token changes — i.e. after any in-place transform.
     """
-    return compile_variants(module, (track, hooked))[0]
+    return compile_variants(module, (track, hooked, costs))[0]
 
 
-def compile_variants(
-    module: Module, *variants: Tuple[bool, bool]
-) -> List[CompiledModule]:
-    """:func:`compile_module` for several ``(track, hooked)`` variants at once.
+def compile_variants(module: Module, *variants: Tuple) -> List[CompiledModule]:
+    """:func:`compile_module` for several ``(track, hooked[, costs])``
+    variants at once.
 
     The structure token walks every instruction and operand of the module,
     so a run that needs more than one variant (an injection trial needs the
@@ -1094,13 +1199,16 @@ def compile_variants(
     registry = _obs_registry()
     out: List[CompiledModule] = []
     for variant in variants:
-        track, hooked = variant
+        track, hooked, *rest = variant
+        costs = rest[0] if rest else None
+        variant = (track, hooked, costs)
         cm = cache.get(variant)
         if cm is None:
             from ..obs import trace as _trace_mod
 
             with _trace_mod.current().span(
-                "compile_module", cat="compile", track=track, hooked=hooked
+                "compile_module", cat="compile", track=track, hooked=hooked,
+                timed=costs is not None,
             ):
                 cm = CompiledModule(module, variant, token, pinned)
                 for fn in module.functions.values():
@@ -1108,7 +1216,7 @@ def compile_variants(
                 n_blocks = n_superblocks = 0
                 for cf in cm.functions.values():
                     for cb in cf.blocks.values():
-                        _fill_block(cb, cf, cm, track, hooked)
+                        _fill_block(cb, cf, cm, track, hooked, costs)
                         n_blocks += 1
                         n_superblocks += sum(
                             1 for sb in cb.fused if sb is not None

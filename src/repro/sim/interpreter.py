@@ -178,8 +178,7 @@ class Interpreter:
         self.guard_mode = guard_mode
         self._guard_detect = guard_mode == "detect"
         #: compiled-dispatch fast path (see :mod:`repro.sim.compiled`);
-        #: timing-model runs always use the reference loop, which observes
-        #: every retired instruction (the detailed-CPU analogue).
+        #: timing-model runs use its timed variants
         self.fastpath = _default_fastpath() if fastpath is None else fastpath
         #: guard ids whose failures never raise — the paper's recover-once
         #: policy: a check that also fails after recovery (i.e. in the golden
@@ -393,12 +392,12 @@ class Interpreter:
         run-terminating event (memory trap, arithmetic trap, guard detection,
         timeout); returns a :class:`~repro.sim.events.RunResult` otherwise.
 
-        Dispatches to the compiled fast path unless a timing model is
-        attached (the detailed-CPU analogue observes every retired
-        instruction, so it keeps the reference loop) or the fast path is
-        disabled (``fastpath=False`` / ``REPRO_FASTPATH=0``).  Both paths are
-        bit-identical — same results, traps, guard statistics, and injection
-        behaviour.
+        Dispatches to the compiled fast path unless it is disabled
+        (``fastpath=False`` / ``REPRO_FASTPATH=0``).  Both paths are
+        bit-identical — same results, traps, guard statistics, injection
+        behaviour and, with a timing model attached, the same cycle
+        estimate: the fast path then runs its timed variant, whose closures
+        report every retired instruction to the model's issue core.
 
         ``restore_from`` fast-forwards an injection run from a golden-run
         :class:`~repro.sim.snapshot.Snapshot` (bit-identical by
@@ -411,17 +410,18 @@ class Interpreter:
         trials, the golden run's failing guards are in ``disabled_guards``
         and ``max_instructions`` covers the golden run, so the golden suffix
         cannot trap).  All four are fast-path
-        features: on the reference loop (or with a value hook, whose
-        callbacks would be skipped over the restored prefix) they are
-        silently ignored, preserving from-scratch semantics.
+        features: on the reference loop (or with a value hook or a timing
+        model, whose callbacks would be skipped over the restored prefix)
+        they are silently ignored, preserving from-scratch semantics.
         """
         fn = self.module.function(entry)
         if len(args) != len(fn.args):
             raise ValueError(
                 f"@{entry} expects {len(fn.args)} args, got {len(args)}"
             )
-        use_fast = self.fastpath and self.timing is None
-        if not use_fast or self.value_hook is not None:
+        use_fast = self.fastpath
+        if (not use_fast or self.value_hook is not None
+                or self.timing is not None):
             restore_from = None
             capture = None
             reconverge = None
@@ -549,9 +549,9 @@ class Interpreter:
     ) -> RunResult:
         """The original per-instruction dispatch loop.
 
-        Retained as the semantic ground truth for the compiled fast path and
-        as the only loop that drives a :class:`TimingModel` (its observe
-        callbacks need every retired instruction).
+        Retained as the semantic ground truth for the compiled fast path,
+        including its timed variant: here a :class:`TimingModel` hears of
+        every retired instruction through its ``observe_*`` shims.
         """
         inject_cycle = self._setup_run(inputs, injection)
         stack_sp = self._stack_sp
@@ -829,7 +829,11 @@ class Interpreter:
                     if value_hook is not None:
                         value_hook(call_instr, value)
                 if timing is not None:
-                    timing.observe_return(call_instr)
+                    timing.observe_return(
+                        call_instr,
+                        timing.value_ready_time(instr._operands[0])
+                        if instr._operands else 0.0,
+                    )
                 frame = caller
                 continue
 
@@ -888,15 +892,17 @@ class Interpreter:
         """
         track = injection is not None or capture is not None
         hooked = self.value_hook is not None
+        timing = self.timing
+        costs = timing.costs if timing is not None else None
         # Injection *commits* at most once; everything the tracked variant
         # records after that instant is dead bookkeeping, so the loop swaps in
         # the untracked variant the moment the fault lands.
         if injection is not None:
             cm, self._untracked_cm = compile_variants(
-                self.module, (track, hooked), (False, hooked)
+                self.module, (track, hooked, costs), (False, hooked, costs)
             )
         else:
-            (cm,) = compile_variants(self.module, (track, hooked))
+            (cm,) = compile_variants(self.module, (track, hooked, costs))
             self._untracked_cm = None
         self._cm = cm
         self._rf_log = []
@@ -1042,7 +1048,7 @@ class Interpreter:
             instructions=cycle,
             guard_stats=self.guard_stats,
             injection=self.injection_record,
-            cycles=None,
+            cycles=timing.cycles if timing is not None else None,
         )
 
     # -- golden reconvergence ------------------------------------------------------------

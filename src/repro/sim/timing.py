@@ -21,19 +21,26 @@ Relative runtimes between an original binary and its protected variants are
 what the paper's Figure 12 reports, and those are preserved: shadow chains add
 issue-bandwidth pressure (mostly hidden by the OoO window), while checks add
 compare+branch work on the critical path.
+
+Both execution paths drive the same issue core (:meth:`TimingModel.issue`
+and the load/store/branch/jump/return entry points built on it).  The
+compiled fast path (:mod:`repro.sim.compiled`) bakes each instruction's
+:class:`CostTable` entry, operand ids and result id into its timed step
+closures and calls the core directly; the reference loop reports through the
+per-instruction ``observe_*`` shims, which resolve the same constants at run
+time and serve as the oracle the fast path is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..ir.instructions import (
-    BinaryOp,
+    Br,
     Call,
-    Cast,
     CondBr,
-    FCmp,
     GuardEq,
     GuardRange,
     GuardValues,
@@ -46,6 +53,58 @@ from .cache import BranchPredictor, SetAssociativeCache
 from .config import SimConfig
 
 
+class CostTable:
+    """Per-instruction ``(issue slots, result latency)``, hashable by content.
+
+    The compiled fast path keys its timed variants on this table, so two
+    models with equal latency and slot tables share compiled code.
+    """
+
+    __slots__ = ("latencies", "slot_costs", "_key")
+
+    def __init__(self, latencies, slot_costs) -> None:
+        self.latencies = dict(latencies)
+        self.slot_costs = dict(slot_costs)
+        self._key = (tuple(sorted(self.latencies.items())),
+                     tuple(sorted(self.slot_costs.items())))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CostTable) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def of(self, instr: Instruction) -> Tuple[int, int]:
+        """Slots and latency of one retirement; a load's latency is its hit
+        latency (the miss penalty is added per access)."""
+        lat, slot = self.latencies, self.slot_costs
+        cls = instr.__class__
+        if cls is Load:
+            return slot.get("load", 2), lat.get("load", 2)
+        if cls is Store:
+            # Stores retire through the store buffer; a miss is buffered and
+            # does not stall retirement.
+            return slot.get("store", 2), 1
+        if cls is CondBr or cls is Br:
+            return 1, 1
+        if cls is Call:
+            return slot.get("call", 2), 2
+        if cls is IntrinsicCall:
+            return slot.get("intrinsic", 4), lat.get(instr.intrinsic, 10)
+        # Guards are compare+branch sequences: the branches are highly
+        # predictable (they fail essentially never), so latency is 1 but
+        # they consume issue bandwidth.
+        if cls is GuardEq:
+            return slot.get("guard_eq", 2), 1
+        if cls is GuardRange:
+            return slot.get("guard_range", 4), 1
+        if cls is GuardValues:
+            key = ("guard_values_1" if len(instr.expected) == 1
+                   else "guard_values_2")
+            return slot.get(key, 2), 1
+        return 1, lat.get(instr.opcode, 1)
+
+
 class TimingModel:
     """Online cycle estimator attached to an interpreter run."""
 
@@ -53,120 +112,95 @@ class TimingModel:
         self.config = config or SimConfig()
         self.dcache = SetAssociativeCache(self.config.l1d)
         self.branch_predictor = BranchPredictor()
-        self._latencies = self.config.latencies
-        self._slot_costs = self.config.slot_costs
+        self.costs = CostTable(self.config.latencies, self.config.slot_costs)
+        self._width = self.config.issue_width
+        self._miss_penalty = self.config.miss_penalty
+        self._mispredict_penalty = self.config.mispredict_penalty
         self.reset()
 
     def reset(self) -> None:
+        cfg = self.config
         #: completion time (cycles, float) per live SSA value id
-        self._ready: dict = {}
+        self.ready: dict = {}
         #: total issue-slot units consumed (the bandwidth floor is slots/width)
         self._slots = 0.0
         #: no micro-op may issue before this time (mispredict flush point)
         self._serial_gate = 0.0
-        #: completion times of the last `rob_entries` instructions
-        self._rob: deque = deque()
-        #: issue times of the last `issue_queue` micro-ops (scheduler window)
-        self._iq: deque = deque()
+        #: completion times of the last `rob_entries` instructions, and issue
+        #: times of the last `issue_queue` micro-ops (scheduler window).  Both
+        #: start full of zeros: an empty slot never delays an issue, since
+        #: ready times are never negative.
+        self._rob: deque = deque([0.0] * cfg.rob_entries)
+        self._iq: deque = deque([0.0] * cfg.issue_queue)
         self._last_completion = 0.0
         self.retired = 0
         self.dcache.reset()
         self.branch_predictor.reset()
 
-    # -- core issue mechanics ---------------------------------------------------
+    # -- the issue core (called directly by compiled timed closures) ----------
 
-    def _issue(self, earliest: float, slots: int, latency: float) -> float:
-        """Issue a micro-op no earlier than ``earliest``; returns completion time.
+    def issue(self, ready: float, slots: int, latency) -> float:
+        """Issue a micro-op no earlier than ``ready``; returns completion time.
 
         The issue time is the max of four constraints:
 
-        * operand readiness (``earliest``),
+        * operand readiness (``ready``),
+        * the ROB (cannot issue before the micro-op ``rob_entries`` older
+          completed) and the scheduler window (cannot issue before the
+          micro-op ``issue_queue`` older issued),
+        * the serial gate left behind by the last mispredict flush,
         * the aggregate bandwidth floor (total slots so far / issue width) —
           out-of-order back-filling of stall gaps is allowed, but total
-          throughput never exceeds the width,
-        * the scheduler window (cannot issue before the micro-op
-          ``issue_queue`` older issued) and the ROB (cannot issue before the
-          micro-op ``rob_entries`` older completed),
-        * the serial gate left behind by the last mispredict flush.
+          throughput never exceeds the width.
         """
-        cfg = self.config
-        if len(self._rob) >= cfg.rob_entries:
-            oldest_done = self._rob.popleft()
-            if oldest_done > earliest:
-                earliest = oldest_done
-        if len(self._iq) >= cfg.issue_queue:
-            window_gate = self._iq.popleft()
-            if window_gate > earliest:
-                earliest = window_gate
-        if self._serial_gate > earliest:
-            earliest = self._serial_gate
-
-        width_floor = self._slots / cfg.issue_width
-        issue_at = earliest if earliest > width_floor else width_floor
+        x = self._rob.popleft()
+        if x > ready:
+            ready = x
+        x = self._iq.popleft()
+        if x > ready:
+            ready = x
+        x = self._serial_gate
+        if x > ready:
+            ready = x
+        x = self._slots / self._width
+        if x > ready:
+            ready = x
         self._slots += slots
-
-        done = issue_at + latency
-        self._iq.append(issue_at)
+        done = ready + latency
+        self._iq.append(ready)
         self._rob.append(done)
         if done > self._last_completion:
             self._last_completion = done
         self.retired += 1
         return done
 
-    def _operands_ready(self, instr: Instruction) -> float:
-        ready = 0.0
-        get = self._ready.get
-        for op in instr.operands:
-            t = get(id(op))
-            if t is not None and t > ready:
-                ready = t
-        return ready
-
-    # -- public observation API (called by the interpreter) -----------------------
-
-    def observe(self, instr: Instruction) -> None:
-        """Plain ALU/cast/compare/phi/etc. retirement."""
-        latency = self._latencies.get(instr.opcode, 1)
-        slots = 1
-        if isinstance(instr, IntrinsicCall):
-            latency = self._latencies.get(instr.intrinsic, 10)
-            slots = self._slot_costs.get("intrinsic", 4)
-        done = self._issue(self._operands_ready(instr), slots, latency)
-        if instr.has_result:
-            self._ready[id(instr)] = done
-
-    def observe_load(self, instr: Load, address: int) -> None:
-        latency = self._latencies.get("load", 2)
+    def load(self, ready: float, address: int, slots: int, latency) -> float:
         if not self.dcache.access(address):
-            latency += self.config.miss_penalty
-        slots = self._slot_costs.get("load", 2)
-        done = self._issue(self._operands_ready(instr), slots, latency)
-        self._ready[id(instr)] = done
+            latency += self._miss_penalty
+        return self.issue(ready, slots, latency)
 
-    def observe_store(self, instr: Store, address: int) -> None:
-        # Stores retire through the store buffer; a miss is buffered and does
-        # not stall retirement, but it still occupies the cache.
+    def store(self, ready: float, address: int, slots: int) -> None:
+        # A store miss still occupies the cache.
         self.dcache.access(address)
-        self._issue(self._operands_ready(instr), self._slot_costs.get("store", 2), 1)
+        self.issue(ready, slots, 1)
 
-    def observe_branch(self, instr: CondBr, taken: bool) -> None:
-        ready = self._operands_ready(instr)
-        done = self._issue(ready, 1, 1)
-        if not self.branch_predictor.predict_and_update(id(instr), taken):
+    def branch(self, ready: float, key: int, taken) -> None:
+        done = self.issue(ready, 1, 1)
+        if not self.branch_predictor.predict_and_update(key, taken):
             # Flush: nothing issues until the branch resolves + refill delay,
             # and the bandwidth of those dead cycles is destroyed.
-            stall_until = done + self.config.mispredict_penalty
+            stall_until = done + self._mispredict_penalty
             if stall_until > self._serial_gate:
                 self._serial_gate = stall_until
-            floor_slots = stall_until * self.config.issue_width
+            floor_slots = stall_until * self._width
             if floor_slots > self._slots:
                 self._slots = floor_slots
         elif taken:
             self._end_fetch_group()
 
-    def observe_jump(self, instr) -> None:
+    def jump(self) -> None:
         """Unconditional branch: 1 slot, and it ends the fetch group."""
-        self._issue(self._operands_ready(instr), 1, 1)
+        self.issue(0.0, 1, 1)
         self._end_fetch_group()
 
     def _end_fetch_group(self) -> None:
@@ -174,41 +208,69 @@ class TimingModel:
         rest of the current fetch cycle's slots are wasted.  This keeps tight
         loops throughput-bound, so duplicated work cannot hide entirely in
         front-end slack."""
-        width = self.config.issue_width
-        import math as _math
+        width = self._width
+        self._slots = math.ceil(self._slots / width) * width
 
-        self._slots = _math.ceil(self._slots / width) * width
+    def returned(self, call_key: int, value_ready: float) -> None:
+        """A non-void call's result becomes ready once the callee's return
+        operand is (never earlier than a previous return of the same call)."""
+        ready = self.ready
+        current = ready.get(call_key, 0.0)
+        ready[call_key] = value_ready if value_ready > current else current
+
+    # -- per-instruction shims (called by the reference loop) ------------------
+
+    def _operands_ready(self, instr: Instruction) -> float:
+        ready = 0.0
+        get = self.ready.get
+        for op in instr.operands:
+            t = get(id(op))
+            if t is not None and t > ready:
+                ready = t
+        return ready
+
+    def observe(self, instr: Instruction) -> None:
+        """Plain ALU/cast/compare/intrinsic/alloca retirement."""
+        slots, latency = self.costs.of(instr)
+        done = self.issue(self._operands_ready(instr), slots, latency)
+        if instr.has_result:
+            self.ready[id(instr)] = done
+
+    def observe_load(self, instr: Load, address: int) -> None:
+        slots, latency = self.costs.of(instr)
+        self.ready[id(instr)] = self.load(
+            self._operands_ready(instr), address, slots, latency
+        )
+
+    def observe_store(self, instr: Store, address: int) -> None:
+        self.store(self._operands_ready(instr), address, self.costs.of(instr)[0])
+
+    def observe_branch(self, instr: CondBr, taken: bool) -> None:
+        self.branch(self._operands_ready(instr), id(instr), taken)
+
+    def observe_jump(self, instr) -> None:
+        self.jump()
 
     def observe_guard(self, instr) -> None:
-        if isinstance(instr, GuardEq):
-            slots = self._slot_costs.get("guard_eq", 2)
-        elif isinstance(instr, GuardRange):
-            slots = self._slot_costs.get("guard_range", 4)
-        elif isinstance(instr, GuardValues):
-            key = "guard_values_1" if len(instr.expected) == 1 else "guard_values_2"
-            slots = self._slot_costs.get(key, 2)
-        else:  # pragma: no cover - only guards reach here
-            slots = 2
-        # Guards are compare+branch sequences: the branches are
-        # highly predictable (they fail essentially never), so latency is 1
-        # but they consume issue bandwidth.
-        self._issue(self._operands_ready(instr), slots, 1)
+        slots, latency = self.costs.of(instr)
+        self.issue(self._operands_ready(instr), slots, latency)
 
     def observe_call(self, instr: Call) -> None:
-        self._issue(self._operands_ready(instr), self._slot_costs.get("call", 2), 2)
+        slots, latency = self.costs.of(instr)
+        self.issue(self._operands_ready(instr), slots, latency)
 
-    def observe_return(self, call_instr: Optional[Call], ret_value_ready: float = 0.0) -> None:
+    def observe_return(self, call_instr: Optional[Call],
+                       ret_value_ready: float = 0.0) -> None:
         if call_instr is not None and call_instr.has_result:
-            current = self._ready.get(id(call_instr), 0.0)
-            self._ready[id(call_instr)] = max(current, ret_value_ready, self._front)
+            self.returned(id(call_instr), ret_value_ready)
 
     def value_ready_time(self, value) -> float:
-        return self._ready.get(id(value), 0.0)
+        return self.ready.get(id(value), 0.0)
 
     def observe_phi(self, phi: Instruction, chosen_value) -> None:
         """Phis are resolved at register rename: zero issue cost, and the phi
         result becomes ready when the *selected* incoming value is."""
-        self._ready[id(phi)] = self._ready.get(id(chosen_value), 0.0)
+        self.ready[id(phi)] = self.ready.get(id(chosen_value), 0.0)
 
     # -- results ----------------------------------------------------------------------
 
@@ -216,7 +278,7 @@ class TimingModel:
     def cycles(self) -> float:
         """Total estimated cycles for everything observed so far."""
         return max(
-            self._slots / self.config.issue_width,
+            self._slots / self._width,
             self._last_completion,
             self._serial_gate,
         )

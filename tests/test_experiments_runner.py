@@ -40,6 +40,51 @@ class TestCacheKeys:
         protected = cache.runtime_cycles("tiff2bw", "full_dup")
         assert ratio == pytest.approx(protected / base - 1.0)
 
+    def test_timing_runs_reuse_prepared_and_skip_capture(self, monkeypatch):
+        """Figure 12 reuses a campaign's prepared module; any other timing
+        run prepares without snapshot capture and keeps nothing, so no
+        full_dup snapshot store stays resident.  Cycles do not move."""
+        from repro.experiments import figure12, runner
+
+        calls = []
+        real_prepare = runner.prepare
+
+        def spy(workload, scheme, config):
+            calls.append((workload.name, scheme, config.snapshot_every))
+            return real_prepare(workload, scheme, config)
+
+        monkeypatch.setattr(runner, "prepare", spy)
+        cache = ExperimentCache(ExperimentSettings(
+            trials=4, workloads=("tiff2bw", "h264dec"),
+        ))
+        kept = cache.prepared("tiff2bw", "dup")
+        assert kept.snapshots is not None
+        rows = figure12.compute(cache)
+
+        cycles = {
+            (name, scheme): cache.runtime_cycles(name, scheme)
+            for name in ("tiff2bw", "h264dec")
+            for scheme in ("original", "dup", "dup_valchk", "full_dup")
+        }
+        assert cycles == {
+            ("tiff2bw", "original"): 8854.0, ("tiff2bw", "dup"): 10590.0,
+            ("tiff2bw", "dup_valchk"): 10803.0,
+            ("tiff2bw", "full_dup"): 15183.5,
+            ("h264dec", "original"): 15734.0, ("h264dec", "dup"): 16655.0,
+            ("h264dec", "dup_valchk"): 18286.0,
+            ("h264dec", "full_dup"): 28072.5,
+        }
+        assert rows[0].dup == pytest.approx(10590.0 / 8854.0 - 1.0)
+        # one capturing prepare for the campaign module, reused by figure 12
+        assert calls.count(("tiff2bw", "dup", None)) == 1
+        assert ("tiff2bw", "dup", 0) not in calls
+        assert sorted(c for c in calls if c[2] == 0) == sorted(
+            (name, scheme, 0) for name in ("tiff2bw", "h264dec")
+            for scheme in ("original", "dup", "dup_valchk", "full_dup")
+            if (name, scheme) != ("tiff2bw", "dup")
+        )
+        assert list(cache._prepared) == [("tiff2bw", "dup", False)]
+
 
 class TestGlobalCache:
     def test_reset_replaces_instance(self):

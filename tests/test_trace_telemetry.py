@@ -251,6 +251,53 @@ def test_two_campaign_trace_shares_add_up(tmp_path):
     assert "preparation:" in rendered
 
 
+def test_figure12_timing_runs_get_a_span_and_a_critical_path_row(tmp_path):
+    """Figure 12's timed golden runs run outside every campaign: each is a
+    ``timing_run`` span, and the critical path gives them a row of their
+    own instead of folding them into "outside campaigns"."""
+    from repro.experiments import ExperimentCache, ExperimentSettings
+
+    path = str(tmp_path / "sweep.json")
+    settings = ExperimentSettings(
+        trials=2, workloads=("tiff2bw",),
+        campaign=replace(_base_config(), trace=path),
+    )
+    cache = ExperimentCache(settings)
+    cache.campaign("tiff2bw", "dup")
+    assert cache.overhead("tiff2bw", "dup") > 0
+    trace_mod.current().export()
+
+    document = load_trace(path)
+    summary = summarize_trace(document)
+    spans = [e for e in document["traceEvents"]
+             if e.get("name") == "timing_run"]
+    assert [(e["cat"], e["args"]["workload"], e["args"]["scheme"])
+            for e in spans] == [("experiment", "tiff2bw", "original"),
+                                ("experiment", "tiff2bw", "dup")]
+    assert summary.timing_us == sum(e["dur"] for e in spans) > 0
+
+    rendered = render_summary(summary, top=1000)
+    assert "timing runs (figure 12):" in rendered
+    path_rows = _percentages(rendered, "critical path", "  replay vs")
+    assert len(path_rows) == 4
+    assert abs(sum(path_rows) - 100.0) <= 0.2
+
+
+def test_experiments_cli_exports_spans_after_the_last_campaign(
+        tmp_path, monkeypatch, capsys):
+    """``figure12`` runs no campaign, whose end would export the trace: the
+    CLI exports it once the experiments are done."""
+    from repro.experiments.__main__ import main
+
+    path = tmp_path / "figure12.json"
+    monkeypatch.setenv("REPRO_TRACE", str(path))
+    assert main(["figure12", "--workloads", "tiff2bw", "--quiet"]) == 0
+    capsys.readouterr()
+    spans = [e for e in load_trace(path)["traceEvents"]
+             if e.get("name") == "timing_run"]
+    assert len(spans) == 4
+
+
 def test_validate_trace_flags_problems():
     assert validate_trace([]) == ["trace document is not a JSON object"]
     assert validate_trace({}) == ["traceEvents is missing or not an array"]
