@@ -34,7 +34,7 @@ from repro.workloads.registry import BENCHMARK_NAMES  # noqa: E402
 _SCRUBBED_ENV = (
     "REPRO_OBS", "REPRO_OBS_TIMING", "REPRO_CHECKPOINT",
     "REPRO_CHECKPOINT_DIR", "REPRO_FAULT_MODEL", "REPRO_TRIALS",
-    "REPRO_JOBS", "REPRO_TRIAL_DEADLINE", "REPRO_OCCUPANCY",
+    "REPRO_JOBS", "REPRO_TRIAL_DEADLINE",
 )
 
 

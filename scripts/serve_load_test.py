@@ -15,12 +15,12 @@ end:
   here means a service bug),
 * every submission ends ``done`` with a readable result.
 
-Numbers land in the ``service`` section of ``BENCH_campaign.json``.
+Numbers land in ``serve-load.json`` in the ``--workdir``.
 
 Examples::
 
     python scripts/serve_load_test.py --campaigns 1000 --depth 64
-    python scripts/serve_load_test.py --campaigns 200 --pool 40 --bench ""
+    python scripts/serve_load_test.py --campaigns 200 --pool 40
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=2014)
     parser.add_argument("--workdir", default="serve-load-artifacts",
                         metavar="DIR")
-    parser.add_argument("--bench", default=str(REPO / "BENCH_campaign.json"),
-                        metavar="PATH",
-                        help="BENCH_campaign.json to record the 'service' "
-                             "section into (empty string: skip)")
     parser.add_argument("--timeout", type=float, default=1800.0)
     args = parser.parse_args()
 
@@ -240,17 +236,6 @@ def main() -> int:
     with open(workdir / "serve-load.json", "w", encoding="utf-8") as fh:
         json.dump(section, fh, indent=2)
         fh.write("\n")
-    if args.bench:
-        try:
-            with open(args.bench, encoding="utf-8") as fh:
-                bench = json.load(fh)
-        except (OSError, ValueError):
-            bench = {}
-        bench["service"] = section
-        with open(args.bench, "w", encoding="utf-8") as fh:
-            json.dump(bench, fh, indent=2)
-            fh.write("\n")
-        log(f"recorded 'service' section in {args.bench}")
 
     if failures:
         for item in failures:

@@ -96,13 +96,6 @@ def main(argv=None) -> int:
                         help="worker processes for trial execution; 0 means "
                              "one per CPU (default: REPRO_JOBS or 1; results "
                              "are bit-identical for any value)")
-    parser.add_argument("--snapshot-every", type=int, default=None,
-                        metavar="N",
-                        help="golden-run snapshot cadence in cycles for "
-                             "shared-prefix trial execution: 0 disables, "
-                             "-1 picks automatically from the golden length "
-                             "(default: REPRO_SNAPSHOT_EVERY or auto; "
-                             "results are bit-identical for any value)")
     parser.add_argument("--fault-model", default=None,
                         choices=list(CONCRETE_FAULT_MODELS) + [CHAOS_FAULT_MODEL],
                         help="fault model to inject (default: "
@@ -142,7 +135,6 @@ def main(argv=None) -> int:
         trials=args.trials, seed=args.seed, swap_train_test=args.swap_inputs,
         jobs=resolve_jobs(args.jobs), obs_log=resolve_obs_log(args.obs_log),
         checkpoint=checkpoint, resilience=policy,
-        snapshot_every=args.snapshot_every,
         fault_model=args.fault_model or (CHAOS_FAULT_MODEL if args.chaos else None),
         trace=args.trace, heartbeat=args.heartbeat,
     )

@@ -98,17 +98,16 @@ class CampaignConfig:
     #: executed, never what they compute.
     resilience: Optional[ResiliencePolicy] = None
     #: golden-run snapshot cadence for shared-prefix trial execution
-    #: (``docs/PERFORMANCE.md``): None = resolve from ``REPRO_SNAPSHOT`` /
-    #: ``REPRO_SNAPSHOT_EVERY`` (default: auto heuristic), 0 = disabled,
-    #: -1 = auto, N > 0 = snapshot every N golden cycles.  Excluded from
-    #: cache keys — restore is bit-invisible by construction (differential
-    #: tests enforce it).
-    snapshot_every: Optional[int] = None
+    #: (``docs/PERFORMANCE.md``): -1 = auto (default), N > 0 = snapshot every
+    #: N golden cycles, 0 = disabled (from-scratch oracle runs).  Excluded
+    #: from cache keys — restore is bit-invisible by construction
+    #: (differential tests enforce it).
+    snapshot_every: int = snapshot_mod.AUTO
     #: dead-flip triage: short-circuit provably-dead register flips straight
     #: to Masked, skipping the post-injection run and output comparison.
-    #: None = resolve from ``REPRO_TRIAGE`` (default on).  Excluded from
-    #: cache keys — a triaged trial records exactly what a full run would.
-    triage: Optional[bool] = None
+    #: False only for from-scratch oracle runs.  Excluded from cache keys —
+    #: a triaged trial records exactly what a full run would.
+    triage: bool = True
     #: fault model drawn for every trial: one of
     #: :data:`~repro.sim.faults.CONCRETE_FAULT_MODELS` or ``"chaos"`` (each
     #: trial draws a concrete model from the campaign RNG).  None = resolve
@@ -197,7 +196,7 @@ def prepare(
                 module, run_inputs, interpreter=golden_interp
             )
         snapshots, occupancy = _capture_golden_state(
-            workload, module, run_inputs, golden_result, config
+            workload, module, run_inputs, golden_result.instructions, config
         )
     return PreparedWorkload(
         workload=workload,
@@ -219,39 +218,41 @@ def _capture_golden_state(
     workload: Workload,
     module,
     run_inputs,
-    golden_result,
+    golden_instructions: int,
     config: CampaignConfig,
 ):
     """Second, instrumented golden run: restore snapshots and/or occupancy.
 
     Returns ``(snapshots, occupancy)``.  Snapshot capture is skipped when
-    snapshotting is disabled (``snapshot_every=0`` / ``REPRO_SNAPSHOT=0``)
-    or the auto heuristic deems the golden run too short to pay for the
-    extra capture run; occupancy capture is skipped unless the campaign's
-    resolved fault model consumes occupancy data (or ``REPRO_OCCUPANCY=1``
-    forces it).  When both are wanted they share ONE instrumented pass via
-    :class:`~repro.sim.memfaults.FusedCapture`, so a memory-model prepare
-    pays only the load/store wrapper overhead on top of the snapshot run —
-    not a whole extra execution.  Both are fast-path features.  The capture
-    run is verified to retire exactly the golden instruction count — any
-    mismatch (it cannot happen; this is a tripwire) drops the captured
-    state rather than risking divergent trials.
+    snapshotting is disabled (``snapshot_every=0``) or the auto heuristic
+    deems the golden run too short to pay for the extra capture run;
+    occupancy capture is skipped unless the campaign's resolved fault model
+    consumes occupancy data.  When both are wanted they share ONE
+    instrumented pass via :class:`~repro.sim.memfaults.FusedCapture`, so a
+    memory-model prepare pays only the load/store wrapper overhead on top
+    of the snapshot run — not a whole extra execution.  Both are fast-path
+    features.  The occupancy boundary cadence is a pure function of the
+    golden instruction count, so the map is bit-identical whether or not
+    it shares the pass with snapshot capture.  The capture run is verified
+    to retire exactly the golden instruction count — any mismatch (it
+    cannot happen; this is a tripwire) drops the captured state rather than
+    risking divergent trials.
     """
     snap_recorder = None
-    every = snapshot_mod.resolve_snapshot_every(config.snapshot_every)
+    every = config.snapshot_every
     if every != 0:
         cadence = (
             every if every > 0
-            else snapshot_mod.auto_cadence(golden_result.instructions)
+            else snapshot_mod.auto_cadence(golden_instructions)
         )
-        if cadence is not None and cadence < golden_result.instructions:
+        if cadence is not None and cadence < golden_instructions:
             snap_recorder = snapshot_mod.SnapshotRecorder(cadence)
 
     occ_recorder = None
     model = resolve_fault_model(config.fault_model)
-    if memfaults_mod.occupancy_enabled(model):
+    if model in memfaults_mod.OCCUPANCY_MODELS:
         occ_recorder = memfaults_mod.OccupancyRecorder(
-            memfaults_mod.boundary_cadence(golden_result.instructions),
+            memfaults_mod.boundary_cadence(golden_instructions),
             config.sim.l1d,
         )
 
@@ -273,7 +274,7 @@ def _capture_golden_state(
         _, capture_result = workload.run(
             module, run_inputs, interpreter=capture_interp, capture=capture
         )
-    if capture_result.instructions != golden_result.instructions:
+    if capture_result.instructions != golden_instructions:
         return None, None  # pragma: no cover - determinism tripwire
     snapshots = None
     if snap_recorder is not None and len(snap_recorder.store):
@@ -281,50 +282,9 @@ def _capture_golden_state(
     occupancy = None
     if occ_recorder is not None:
         occupancy = occ_recorder.finalize(
-            workload.output_names(module), golden_result.instructions
+            workload.output_names(module), golden_instructions
         )
     return snapshots, occupancy
-
-
-def _capture_occupancy(
-    workload: Workload,
-    module,
-    run_inputs,
-    golden_result,
-    config: CampaignConfig,
-) -> Optional[memfaults_mod.OccupancyMap]:
-    """Dedicated occupancy-only golden pass (the ``_ensure_occupancy`` path).
-
-    ``prepare()`` itself fuses occupancy capture into the snapshot run (see
-    :func:`_capture_golden_state`); this standalone pass serves callers that
-    attach a map to an already-prepared workload.  Runs only when the
-    campaign's resolved fault model consumes occupancy data (or
-    ``REPRO_OCCUPANCY=1`` forces it) and the fast path is on — the wrappers
-    hook the compiled load/store address translation.  The boundary cadence
-    is a pure function of the golden instruction count (never of snapshot
-    or other config knobs), so the map — and every memory-model verdict
-    derived from it — is bit-identical across processes, config variations,
-    and the fused-vs-dedicated capture paths.
-    """
-    model = resolve_fault_model(config.fault_model)
-    if not memfaults_mod.occupancy_enabled(model):
-        return None
-    capture_interp = Interpreter(module, config=config.sim, guard_mode="count")
-    if not capture_interp.fastpath:
-        return None
-    cadence = memfaults_mod.boundary_cadence(golden_result.instructions)
-    recorder = memfaults_mod.OccupancyRecorder(cadence, config.sim.l1d)
-    with trace_mod.current().span(
-        "occupancy_capture", cat="prepare", cadence=cadence
-    ):
-        _, capture_result = workload.run(
-            module, run_inputs, interpreter=capture_interp, capture=recorder
-        )
-    if capture_result.instructions != golden_result.instructions:
-        return None  # pragma: no cover - determinism tripwire
-    return recorder.finalize(
-        workload.output_names(module), golden_result.instructions
-    )
 
 
 def _ensure_occupancy(
@@ -339,22 +299,10 @@ def _ensure_occupancy(
     """
     if prepared.occupancy is not None:
         return
-    model = resolve_fault_model(config.fault_model)
-    if not memfaults_mod.occupancy_enabled(model):
-        return
-    golden = _GoldenShim(prepared.golden_instructions)
-    prepared.occupancy = _capture_occupancy(
-        prepared.workload, prepared.module, prepared.inputs, golden, config
+    _, prepared.occupancy = _capture_golden_state(
+        prepared.workload, prepared.module, prepared.inputs,
+        prepared.golden_instructions, replace(config, snapshot_every=0),
     )
-
-
-class _GoldenShim:
-    """Minimal golden-result stand-in for :func:`_capture_occupancy`."""
-
-    __slots__ = ("instructions",)
-
-    def __init__(self, instructions: int) -> None:
-        self.instructions = instructions
 
 
 def run_trial(
@@ -443,13 +391,13 @@ def _classify_trial(
     if (
         prepared.snapshots is not None
         and interp.fastpath
-        and snapshot_mod.resolve_snapshot_every(config.snapshot_every) != 0
+        and config.snapshot_every != 0
     ):
         restore = prepared.snapshots.nearest(plan.cycle)
         # Golden reconvergence rides on the triage switch but not on the
         # model gate below: equal state is the golden suffix for any model,
         # and the interpreter itself waits out stuck-at and control faults.
-        if snapshot_mod.resolve_triage(config.triage):
+        if config.triage:
             golden = prepared.snapshots
         if restore is not None and stats is not None:
             stats["restores"] = stats.get("restores", 0) + 1
@@ -461,10 +409,7 @@ def _classify_trial(
     # proof: register liveness for ``single_bit``, the occupancy map for the
     # memory-hierarchy models.  Multi-site and register-persistent models
     # (double_bit, burst, stuck_at) keep the full run.
-    triage = (
-        snapshot_mod.resolve_triage(config.triage)
-        and plan.model in TRIAGEABLE_FAULT_MODELS
-    )
+    triage = config.triage and plan.model in TRIAGEABLE_FAULT_MODELS
     tracer = trace_mod.current()
     try:
         run_start = time.perf_counter_ns() if tracer.enabled else 0
@@ -721,20 +666,6 @@ def resolve_resilience_config(config: CampaignConfig) -> CampaignConfig:
     return replace(config, resilience=policy, checkpoint=checkpoint)
 
 
-def resolve_prefix_config(config: CampaignConfig) -> CampaignConfig:
-    """Fold the ``REPRO_SNAPSHOT*``/``REPRO_TRIAGE`` defaults into the config.
-
-    Same contract as :func:`resolve_obs_config`: explicit fields win, the
-    environment only fills gaps, and resolution happens once in the parent
-    so every worker makes the same snapshot/triage decision.
-    """
-    every = snapshot_mod.resolve_snapshot_every(config.snapshot_every)
-    triage = snapshot_mod.resolve_triage(config.triage)
-    if every == config.snapshot_every and triage == config.triage:
-        return config
-    return replace(config, snapshot_every=every, triage=triage)
-
-
 def resolve_jobs_config(config: CampaignConfig) -> CampaignConfig:
     """Resolve ``jobs=0`` (auto) to the machine's CPU count.
 
@@ -918,7 +849,6 @@ def run_campaign(
     """
     config = resolve_obs_config(config or CampaignConfig())
     config = resolve_resilience_config(config)
-    config = resolve_prefix_config(config)
     config = resolve_jobs_config(config)
     config = resolve_fault_model_config(config)
     config = resolve_telemetry_config(config)

@@ -52,42 +52,3 @@ def collect_profiles(
     interp = Interpreter(module, config=config, guard_mode="count", value_hook=hook)
     interp.run(entry=entry, args=args, inputs=inputs, max_instructions=max_instructions)
     return store
-
-
-def collect_profiles_multi(
-    module: Module,
-    input_sets: Sequence[Dict[str, Sequence]],
-    entry: str = "main",
-    args: Sequence[object] = (),
-    num_bins: int = 5,
-    top_capacity: int = 8,
-    config: Optional[SimConfig] = None,
-    max_instructions: int = 50_000_000,
-) -> ProfileStore:
-    """Profile over several inputs into one combined store.
-
-    The paper (Section V) notes the false-positive rate "can be further
-    reduced by combining profiling from multiple inputs and thus inserting
-    checks only on more stable invariant values" — this is that combiner:
-    every run streams into the same histograms, so ranges widen to cover all
-    inputs and pseudo-invariants that vary across inputs stop qualifying for
-    single/two-value checks.
-    """
-    if not input_sets:
-        raise ValueError("need at least one input set")
-    store = ProfileStore(num_bins=num_bins, top_capacity=top_capacity)
-
-    def hook(instr: Instruction, value) -> None:
-        t = instr.type
-        if isinstance(t, IntType):
-            if t.bits > 1:
-                store.observe(instr, value)
-        elif isinstance(t, FloatType):
-            store.observe(instr, float(value))
-
-    for inputs in input_sets:
-        interp = Interpreter(module, config=config, guard_mode="count", value_hook=hook)
-        interp.run(
-            entry=entry, args=args, inputs=inputs, max_instructions=max_instructions
-        )
-    return store

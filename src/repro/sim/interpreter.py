@@ -23,7 +23,6 @@ false-positive rate, modelling the paper's recover-once-then-ignore policy).
 from __future__ import annotations
 
 import math
-import os
 import random
 import struct
 import time
@@ -104,13 +103,6 @@ _safe_log = ops.safe_log
 _safe_pow = ops.safe_pow
 
 
-def _default_fastpath() -> bool:
-    """Fast path on unless ``REPRO_FASTPATH`` disables it (escape hatch)."""
-    return os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
 def _retime_trap(trap, cycle: int):
     """Rebuild a closure-raised trap (``cycle=-1``) with the real cycle.
 
@@ -169,7 +161,7 @@ class Interpreter:
         value_hook: Optional[Callable[[Instruction, object], None]] = None,
         timing: Optional[TimingModel] = None,
         disabled_guards: Optional[set] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         if guard_mode not in ("detect", "count"):
             raise ValueError("guard_mode must be 'detect' or 'count'")
@@ -178,8 +170,9 @@ class Interpreter:
         self.guard_mode = guard_mode
         self._guard_detect = guard_mode == "detect"
         #: compiled-dispatch fast path (see :mod:`repro.sim.compiled`);
-        #: timing-model runs use its timed variants
-        self.fastpath = _default_fastpath() if fastpath is None else fastpath
+        #: timing-model runs use its timed variants.  ``False`` selects the
+        #: instruction-at-a-time reference loop, the tests' oracle.
+        self.fastpath = fastpath
         #: guard ids whose failures never raise — the paper's recover-once
         #: policy: a check that also fails after recovery (i.e. in the golden
         #: run) stops triggering recoveries
@@ -392,8 +385,8 @@ class Interpreter:
         run-terminating event (memory trap, arithmetic trap, guard detection,
         timeout); returns a :class:`~repro.sim.events.RunResult` otherwise.
 
-        Dispatches to the compiled fast path unless it is disabled
-        (``fastpath=False`` / ``REPRO_FASTPATH=0``).  Both paths are
+        Dispatches to the compiled fast path unless the interpreter was
+        built with ``fastpath=False`` (the reference oracle).  Both paths are
         bit-identical — same results, traps, guard statistics, injection
         behaviour and, with a timing model attached, the same cycle
         estimate: the fast path then runs its timed variant, whose closures

@@ -33,21 +33,18 @@ This module removes that redundancy in three stages:
   via ``TriageMasked("reconverged")``.  Nothing is stored for it beyond the
   snapshots themselves.
 
-Configuration mirrors the fast path's escape hatches:
-
-* ``REPRO_SNAPSHOT=0`` / ``CampaignConfig.snapshot_every=0`` disables
-  snapshotting (and with it reconvergence) entirely;
-* ``REPRO_SNAPSHOT_EVERY=N`` / ``--snapshot-every N`` sets an explicit
-  cadence; the default (:data:`AUTO`) derives one from the golden length;
-* ``REPRO_TRIAGE=0`` / ``CampaignConfig.triage=False`` disables triage and
-  reconvergence.
+Campaigns run with snapshots and triage on; there is no environment
+switch.  Two ``CampaignConfig`` fields remain for from-scratch runs (the
+tests' and the benchmark's oracle, and Figure 12's timing-only prepares):
+``snapshot_every=0`` disables snapshotting (and with it reconvergence),
+``triage=False`` disables triage and reconvergence.  The default cadence
+(:data:`AUTO`) derives one from the golden length.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import os
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -71,8 +68,6 @@ __all__ = [
     "resolve_triage",
     "value_dead_after",
 ]
-
-_FALSEY = ("0", "off", "false", "no")
 
 #: sentinel cadence: derive one from the golden instruction count
 AUTO = -1
@@ -103,36 +98,17 @@ class TriageMasked(Exception):
         self.reason = reason
 
 
-# ---------------------------------------------------------------------------
-# configuration resolution (mirrors REPRO_FASTPATH / resolve_obs_config)
-# ---------------------------------------------------------------------------
-
-
+# The two resolvers are kept for perfbench/unit.py, which prints the
+# resolved defaults among its settings.
 def resolve_snapshot_every(value: Optional[int]) -> int:
-    """Resolve a config cadence against the environment.
-
-    An explicit config value (0 = off, :data:`AUTO`, or a positive cadence)
-    wins; ``None`` falls back to ``REPRO_SNAPSHOT`` (falsey disables) and
-    ``REPRO_SNAPSHOT_EVERY`` (explicit cadence), defaulting to :data:`AUTO`.
-    """
-    if value is not None:
-        return value
-    if os.environ.get("REPRO_SNAPSHOT", "1").strip().lower() in _FALSEY:
-        return 0
-    explicit = os.environ.get("REPRO_SNAPSHOT_EVERY", "").strip()
-    if explicit:
-        try:
-            return max(0, int(explicit))
-        except ValueError:
-            return AUTO
-    return AUTO
+    """An explicit cadence (0 = off, :data:`AUTO`, or a positive cadence)
+    wins; ``None`` means the default, :data:`AUTO`."""
+    return AUTO if value is None else value
 
 
 def resolve_triage(value: Optional[bool]) -> bool:
-    """Explicit config wins; else ``REPRO_TRIAGE`` (default on)."""
-    if value is not None:
-        return bool(value)
-    return os.environ.get("REPRO_TRIAGE", "1").strip().lower() not in _FALSEY
+    """An explicit switch wins; ``None`` means the default, on."""
+    return True if value is None else bool(value)
 
 
 def auto_cadence(golden_instructions: int) -> Optional[int]:

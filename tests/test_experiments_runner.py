@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import ExperimentCache, ExperimentSettings
 from repro.experiments.runner import reset_global_cache, global_cache
+from repro.sim.snapshot import AUTO
 
 
 @pytest.fixture
@@ -76,7 +77,7 @@ class TestCacheKeys:
         }
         assert rows[0].dup == pytest.approx(10590.0 / 8854.0 - 1.0)
         # one capturing prepare for the campaign module, reused by figure 12
-        assert calls.count(("tiff2bw", "dup", None)) == 1
+        assert calls.count(("tiff2bw", "dup", AUTO)) == 1
         assert ("tiff2bw", "dup", 0) not in calls
         assert sorted(c for c in calls if c[2] == 0) == sorted(
             (name, scheme, 0) for name in ("tiff2bw", "h264dec")

@@ -1,7 +1,6 @@
 """Tests for the paper's companion/extension features built in this repo:
 checkpoint recovery (Section IV-D), control-flow signature checking (the
-branch-target protection the paper defers to), multi-input profiling
-(Section V's false-positive mitigation), and the control-fault model.
+branch-target protection the paper defers to), and the control-fault model.
 """
 
 import numpy as np
@@ -12,10 +11,8 @@ from repro.faultinjection import (
     prepare,
     run_with_recovery,
 )
-from repro.profiling import collect_profiles, collect_profiles_multi
 from repro.sim import GuardTrap, InjectionPlan, Interpreter, SimTrap
 from repro.transforms import (
-    ProtectionConfig,
     apply_scheme,
     compute_check_plans,
     protect_control_flow,
@@ -166,34 +163,3 @@ class TestCfcss:
         out, run = w.run(module, w.test_inputs(), interpreter=interp)
         assert run.guard_stats.total_failures == 0
         assert result.num_guards > 0 and stats.num_eq_guards > 0
-
-
-class TestMultiInputProfiling:
-    def test_combined_ranges_cover_all_inputs(self, sum_loop):
-        module, h = sum_loop
-        small = {"src": [1] * 16}
-        large = {"src": [1000] * 16}
-        combined = collect_profiles_multi(module, [small, large])
-        profile = combined.get(h["acc_next"])
-        assert profile is not None
-        assert profile.count == 32
-        assert profile.histogram.max > 1000  # saw the large input's values
-
-    def test_requires_inputs(self, sum_loop):
-        module, _ = sum_loop
-        with pytest.raises(ValueError):
-            collect_profiles_multi(module, [])
-
-    def test_multi_input_checks_do_not_misfire(self):
-        """Checks trained on both inputs never fire on either input."""
-        w = get_workload("kmeans")
-        module = w.build_module()
-        store = collect_profiles_multi(
-            module, [w.train_inputs(), w.test_inputs()]
-        )
-        config = ProtectionConfig()
-        apply_scheme(module, "dup_valchk", profiles=store, config=config)
-        for inputs in (w.train_inputs(), w.test_inputs()):
-            interp = Interpreter(module, guard_mode="count")
-            _, run = w.run(module, inputs, interpreter=interp)
-            assert run.guard_stats.total_failures == 0

@@ -5,15 +5,18 @@ per-instruction closures and fuses straight-line runs into superblocks.  These
 tests pin down that it is a pure optimisation: every observable — outputs,
 instruction counts, guard tallies, fault outcomes, and the exact cycle of
 every trap — must be bit-identical to the instruction-at-a-time reference
-path (``REPRO_FASTPATH=0``).
+path (``Interpreter(fastpath=False)``).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.faultinjection import CampaignConfig, prepare, run_campaign
+from repro.faultinjection import campaign as campaign_mod
 from repro.sim.interpreter import Interpreter
 from repro.workloads.registry import get_workload
 
@@ -27,6 +30,17 @@ def _norm(x):
     if isinstance(x, (list, tuple)):
         return tuple(_norm(v) for v in x)
     return x
+
+
+def _on_reference_loop(monkeypatch):
+    """Make every interpreter the campaign layer builds (golden, capture and
+    trial runs) the reference loop.  Campaigns here are serial, so no worker
+    process has to inherit the patch; without the fast path the campaign
+    also runs without snapshots, as from-scratch trials."""
+    monkeypatch.setattr(
+        campaign_mod, "Interpreter",
+        functools.partial(Interpreter, fastpath=False),
+    )
 
 
 @pytest.mark.parametrize("name", ["tiff2bw", "g721dec"])
@@ -54,12 +68,16 @@ def test_campaign_matches_reference_bit_exact(scheme, monkeypatch):
     config = CampaignConfig(trials=10, seed=5)
     workload = get_workload("tiff2bw")
 
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    prepared_ref = prepare(workload, scheme, config)
-    reference = run_campaign(workload, scheme, config, prepared=prepared_ref)
+    with monkeypatch.context() as patch:
+        _on_reference_loop(patch)
+        prepared_ref = prepare(workload, scheme, config)
+        reference = run_campaign(
+            workload, scheme, config, prepared=prepared_ref
+        )
+    assert prepared_ref.snapshots is None
 
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
     prepared_fast = prepare(workload, scheme, config)
+    assert prepared_fast.snapshots is not None
     fast = run_campaign(workload, scheme, config, prepared=prepared_fast)
 
     assert _norm(prepared_fast.golden_outputs) == _norm(prepared_ref.golden_outputs)
@@ -73,7 +91,7 @@ def test_obs_event_logs_match_reference_byte_exact(tmp_path, monkeypatch):
 
     The event log derives everything from (plan, TrialResult) — including the
     new detector fields (check id/kind, trap kind, event cycle, latency) — so
-    the JSONL streams of a fastpath=0 and fastpath=1 campaign must be
+    the JSONL streams of a reference-loop and a fast-path campaign must be
     byte-identical, not merely outcome-equal.
     """
     from dataclasses import replace
@@ -81,18 +99,20 @@ def test_obs_event_logs_match_reference_byte_exact(tmp_path, monkeypatch):
     config = CampaignConfig(trials=12, seed=5)
     workload = get_workload("tiff2bw")
     logs = {}
-    for fastpath in ("0", "1"):
-        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-        log = tmp_path / f"fastpath{fastpath}.jsonl"
-        prepared = prepare(workload, "dup_valchk", config)
-        run_campaign(
-            workload, "dup_valchk",
-            replace(config, obs_log=str(log)), prepared=prepared,
-        )
+    for fastpath in (False, True):
+        with monkeypatch.context() as patch:
+            if not fastpath:
+                _on_reference_loop(patch)
+            log = tmp_path / f"fastpath{int(fastpath)}.jsonl"
+            prepared = prepare(workload, "dup_valchk", config)
+            run_campaign(
+                workload, "dup_valchk",
+                replace(config, obs_log=str(log)), prepared=prepared,
+            )
         logs[fastpath] = log.read_bytes()
-    assert logs["1"] == logs["0"]
+    assert logs[True] == logs[False]
     # and the log is not trivially empty: it carries real trial records
-    assert logs["0"].count(b'"event":"trial"') == config.trials
+    assert logs[False].count(b'"event":"trial"') == config.trials
 
 
 def test_compile_variants_share_one_token_and_follow_ir_mutation():

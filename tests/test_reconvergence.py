@@ -30,12 +30,9 @@ _EVERY = 200
 
 
 @pytest.fixture(autouse=True)
-def _fastpath(monkeypatch):
-    """Reconvergence rides on fast-path snapshots; pin the knobs."""
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    for name in ("REPRO_SNAPSHOT", "REPRO_SNAPSHOT_EVERY", "REPRO_TRIAGE",
-                 "REPRO_FAULT_MODEL"):
-        monkeypatch.delenv(name, raising=False)
+def _default_fault_model(monkeypatch):
+    """Campaigns here name their fault model or rely on the default."""
+    monkeypatch.delenv("REPRO_FAULT_MODEL", raising=False)
 
 
 @pytest.fixture(scope="module")

@@ -35,15 +35,6 @@ WORKLOADS = ("tiff2bw", "g721dec")
 _EVERY = 200
 
 
-@pytest.fixture(autouse=True)
-def _fastpath(monkeypatch):
-    """Snapshots require the compiled fast path; force it on for this file."""
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
-    monkeypatch.delenv("REPRO_SNAPSHOT_EVERY", raising=False)
-    monkeypatch.delenv("REPRO_TRIAGE", raising=False)
-
-
 def _campaign(prepared, config, log_path):
     cfg = replace(config, obs_log=str(log_path))
     result = run_campaign(prepared.workload, prepared.scheme, cfg,
@@ -229,48 +220,34 @@ def test_recorder_caps_snapshot_count(tiff_snapshots):
 
 
 # ---------------------------------------------------------------------------
-# config resolution and escape hatches
+# config resolution
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_snapshot_every(monkeypatch):
+def test_resolve_snapshot_every():
     resolve = snapshot_mod.resolve_snapshot_every
-    assert resolve(500) == 500          # explicit wins over any env
+    assert resolve(500) == 500          # explicit wins
     assert resolve(0) == 0
-    monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "123")
-    assert resolve(None) == 123
-    assert resolve(0) == 0
-    monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "garbage")
     assert resolve(None) == snapshot_mod.AUTO
-    monkeypatch.delenv("REPRO_SNAPSHOT_EVERY")
-    monkeypatch.setenv("REPRO_SNAPSHOT", "0")
-    assert resolve(None) == 0           # kill switch
-    monkeypatch.delenv("REPRO_SNAPSHOT")
-    assert resolve(None) == snapshot_mod.AUTO
+    assert CampaignConfig().snapshot_every == snapshot_mod.AUTO
+    # 0 is the from-scratch oracle's setting: no capture pass at all
+    prepared = prepare(get_workload("tiff2bw"), "dup",
+                       CampaignConfig(trials=2, seed=1, snapshot_every=0))
+    assert prepared.snapshots is None
 
 
-def test_resolve_triage(monkeypatch):
+def test_resolve_triage():
     resolve = snapshot_mod.resolve_triage
-    monkeypatch.delenv("REPRO_TRIAGE", raising=False)
     assert resolve(None) is True        # on by default
     assert resolve(False) is False
-    monkeypatch.setenv("REPRO_TRIAGE", "0")
-    assert resolve(None) is False
-    assert resolve(True) is True        # explicit wins
+    assert resolve(True) is True
+    assert CampaignConfig().triage is True
 
 
 def test_auto_cadence():
     assert snapshot_mod.auto_cadence(100) is None  # too short to bother
     assert snapshot_mod.auto_cadence(64_000) == 2_000
     assert snapshot_mod.auto_cadence(10_000) == 1_000  # floored
-
-
-def test_env_kill_switch_disables_capture(monkeypatch):
-    monkeypatch.setenv("REPRO_SNAPSHOT", "0")
-    workload = get_workload("tiff2bw")
-    cfg = CampaignConfig(trials=2, seed=1)
-    prepared = prepare(workload, "dup", cfg)
-    assert prepared.snapshots is None
 
 
 # ---------------------------------------------------------------------------

@@ -291,10 +291,9 @@ def test_kernels_match_reference_loop(kernels, name, scheme):
         assert timing.cycles == PINNED_CYCLES[name][SCHEMES.index(scheme)]
 
 
-def test_default_timing_run_takes_the_fast_path(kernels, monkeypatch):
+def test_default_timing_run_takes_the_fast_path(kernels):
     """Non-vacuity: with the default configuration a timing run compiles a
     timed variant and is timed as a fast-path run."""
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
     module = build_sum_loop()[0]
     registry = enable_global(True)
     try:

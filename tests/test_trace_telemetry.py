@@ -47,10 +47,8 @@ from repro.workloads.registry import get_workload
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    """Fast path on, every telemetry/prefix env knob off, tracer reset."""
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    for var in ("REPRO_SNAPSHOT", "REPRO_SNAPSHOT_EVERY", "REPRO_TRIAGE",
-                "REPRO_TRACE", "REPRO_HEARTBEAT", "REPRO_OBS"):
+    """Every telemetry env knob off, tracer reset."""
+    for var in ("REPRO_TRACE", "REPRO_HEARTBEAT", "REPRO_OBS"):
         monkeypatch.delenv(var, raising=False)
     yield
     trace_mod.activate(None)
@@ -59,10 +57,7 @@ def _clean_env(monkeypatch):
 @pytest.fixture(scope="module")
 def prepared_g721():
     """One shared prepared workload for every campaign in this file."""
-    os.environ["REPRO_FASTPATH"] = "1"
-    for var in ("REPRO_SNAPSHOT", "REPRO_SNAPSHOT_EVERY", "REPRO_TRIAGE",
-                "REPRO_TRACE"):
-        os.environ.pop(var, None)
+    os.environ.pop("REPRO_TRACE", None)
     workload = get_workload("g721dec")
     prepared = prepare(workload, "dup_valchk", _base_config())
     return prepared
